@@ -92,7 +92,9 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--check=", 8) == 0) {
       check = std::strtod(argv[i] + 8, nullptr);
     } else {
-      std::cerr << "warning: unknown option " << argv[i] << "\n";
+      std::cerr << "error: unknown option " << argv[i]
+                << "\nusage: bench_alloc_scaling [--fast] [--out=BENCH_alloc.json] [--check=K]\n";
+      return 1;
     }
   }
 

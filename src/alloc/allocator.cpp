@@ -1,7 +1,6 @@
 #include "alloc/allocator.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "obs/recorder.hpp"
 
@@ -15,19 +14,10 @@ void Allocator::note_fallback(const Request& req) const {
   if (rec_ != nullptr) rec_->alloc_fallback(req.width, req.length, req.processors);
 }
 
-void Allocator::finalize_placement(Placement& placement, const mesh::Geometry& geom,
-                                   std::int32_t p) {
+void Allocator::finalize_placement(Placement& placement, std::int32_t p) {
   placement.allocated = 0;
   for (const mesh::SubMesh& b : placement.blocks) placement.allocated += b.area();
-  placement.compute_nodes.clear();
-  placement.compute_nodes.reserve(static_cast<std::size_t>(p));
-  for (const mesh::SubMesh& b : placement.blocks) {
-    for (std::int32_t y = b.y1; y <= b.y2 && std::cmp_less(placement.compute_nodes.size(), p); ++y)
-      for (std::int32_t x = b.x1; x <= b.x2 && std::cmp_less(placement.compute_nodes.size(), p); ++x)
-        placement.compute_nodes.push_back(geom.id(mesh::Coord{x, y}));
-    if (std::cmp_greater_equal(placement.compute_nodes.size(), p)) break;
-  }
-  if (std::cmp_less(placement.compute_nodes.size(), p))
+  if (placement.allocated < p)
     throw std::logic_error("Allocator: placement holds fewer processors than requested");
 }
 

@@ -28,12 +28,12 @@ struct Request {
 
 /// The outcome of a successful allocation.
 struct Placement {
-  /// Disjoint rectangles whose processors are held by the job.
+  /// Disjoint rectangles whose processors are held by the job. The job's
+  /// `Request::processors` compute nodes are the first that many nodes of
+  /// the blocks in block order, row-major inside each block
+  /// (network::block_node resolves them).
   std::vector<mesh::SubMesh> blocks;
-  /// Exactly `Request::processors` node ids that run the job and exchange
-  /// messages; a subset of the blocks' nodes in deterministic scan order.
-  std::vector<mesh::NodeId> compute_nodes;
-  /// Total processors held — may exceed compute_nodes.size() (internal
+  /// Total processors held — may exceed Request::processors (internal
   /// fragmentation: Paging with pages > 1 node, GABL's a*b bounding).
   std::int32_t allocated{0};
   /// Strategy-private bookkeeping (page indices, buddy block ids).
@@ -136,10 +136,9 @@ class Allocator {
     index_.release(n);
   }
 
-  /// Fills placement.compute_nodes with the first `p` nodes of the blocks in
-  /// block order (row-major inside each block) and sets `allocated`.
-  static void finalize_placement(Placement& placement, const mesh::Geometry& geom,
-                                 std::int32_t p);
+  /// Sets `allocated` to the blocks' total area; throws std::logic_error
+  /// if that is fewer than the `p` processors the job computes on.
+  static void finalize_placement(Placement& placement, std::int32_t p);
 
   /// Strategy-level observability notes (no-ops when detached). Strategies
   /// call note_attempt() at allocate() entry and note_fallback() when they

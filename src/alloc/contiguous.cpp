@@ -22,7 +22,7 @@ std::optional<Placement> ContiguousAllocator::allocate(const Request& req) {
   Placement placement;
   placement.blocks.push_back(*found);
   occupy(*found);
-  finalize_placement(placement, geometry(), req.processors);
+  finalize_placement(placement, req.processors);
   return placement;
 }
 

@@ -74,7 +74,7 @@ std::optional<Placement> GablAllocator::allocate(const Request& req) {
     busy_slot_.emplace(blk, busy_list_.size());
     busy_list_.push_back(blk);
   }
-  finalize_placement(placement, geometry(), req.processors);
+  finalize_placement(placement, req.processors);
   return placement;
 }
 

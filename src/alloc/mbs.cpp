@@ -73,7 +73,7 @@ std::optional<Placement> MbsAllocator::allocate(const Request& req) {
   }
   if (split) note_fallback(req);
   for (const mesh::SubMesh& b : placement.blocks) occupy(b);
-  finalize_placement(placement, geometry(), req.processors);
+  finalize_placement(placement, req.processors);
   return placement;
 }
 

@@ -38,7 +38,7 @@ std::optional<Placement> PagingAllocator::allocate(const Request& req) {
     --free_page_count_;
   }
   for (const mesh::SubMesh& b : placement.blocks) occupy(b);
-  finalize_placement(placement, geometry(), req.processors);
+  finalize_placement(placement, req.processors);
   return placement;
 }
 

@@ -24,7 +24,7 @@ std::optional<Placement> RandomAllocator::allocate(const Request& req) {
     placement.blocks.push_back(mesh::SubMesh{c.x, c.y, c.x, c.y});
     occupy(free[static_cast<std::size_t>(i)]);
   }
-  finalize_placement(placement, geometry(), req.processors);
+  finalize_placement(placement, req.processors);
   return placement;
 }
 

@@ -100,7 +100,6 @@ void SystemSim::finalize_run(bool own_clock,
     const mesh::OccupancyIndex::QueryStats& qs = allocator_.index().query_stats();
     c.index_frontier_passes += qs.frontier_passes;
     c.index_frontier_hits += qs.frontier_hits;
-    c.index_descent_queries += qs.descent_queries;
     c.index_first_fit_queries += qs.first_fit_queries;
     c.index_best_fit_queries += qs.best_fit_queries;
     if (own_clock) {
@@ -277,7 +276,8 @@ void SystemSim::start_job(JobArena::Slot slot, alloc::Placement placement) {
                   static_cast<double>(arena_.placement(slot).allocated));
 
   const std::vector<network::SrcDst> traffic =
-      network::map_plan(job.message_plan, arena_.placement(slot).compute_nodes);
+      network::map_plan(job.message_plan, arena_.placement(slot).blocks, cfg_.geom,
+                        job.processors);
 
   if (traffic.empty()) {
     // Single-processor job (or no messages): nominal local service of one

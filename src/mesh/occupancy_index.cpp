@@ -40,19 +40,6 @@ void and_shr(std::uint64_t* r, std::size_t words, std::int32_t t) {
   }
 }
 
-/// dst = src >> t over a multi-word little-endian bit span.
-void shr_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t words,
-              std::int32_t t) {
-  const std::size_t word_off = static_cast<std::size_t>(t) / 64;
-  const int bit_off = t % 64;
-  for (std::size_t i = 0; i < words; ++i) {
-    const std::size_t j = i + word_off;
-    std::uint64_t v = j < words ? src[j] >> bit_off : 0;
-    if (bit_off != 0 && j + 1 < words) v |= src[j + 1] << (64 - bit_off);
-    dst[i] = v;
-  }
-}
-
 /// Column of the lowest set bit of a row span; caller guarantees one exists.
 [[nodiscard]] std::int32_t lowest_bit(const std::uint64_t* r, std::size_t words) {
   for (std::size_t i = 0; i < words; ++i)
@@ -101,6 +88,7 @@ void OccupancyIndex::clear() {
     r[words_ - 1] = tail_mask_;
     dirty_row(y);
   }
+  release_gen_ = gen_counter_;
   free_count_ = geom_.nodes();
   qstats_ = QueryStats{};
 }
@@ -149,6 +137,7 @@ void OccupancyIndex::release(const SubMesh& s) {
     }
     dirty_row(y);
   }
+  release_gen_ = gen_counter_;
   free_count_ += s.area();
 }
 
@@ -462,208 +451,119 @@ const std::int32_t* OccupancyIndex::ensure_rowpref(std::int32_t y) const {
   return p;
 }
 
-void OccupancyIndex::ensure_frontier() const {
-  if (lf_frontier_gen_ == gen_counter_ && !lf_frontier_.empty()) return;
+void OccupancyIndex::sync_frontier() const {
   ++qstats_.frontier_passes;
-  const std::int32_t W = geom_.width();
   const std::int32_t L = geom_.length();
-  lf_frontier_.assign(static_cast<std::size_t>(W) + 2, 0);
-  lf_ht_.assign(static_cast<std::size_t>(W), 0);
-  lf_stack_x_.resize(static_cast<std::size_t>(W) + 1);
-  lf_stack_h_.resize(static_cast<std::size_t>(W) + 1);
-  std::int32_t* H = lf_frontier_.data();
-  std::int32_t* ht = lf_ht_.data();
-  std::int32_t* sx = lf_stack_x_.data();
-  std::int32_t* sh = lf_stack_h_.data();
-
-  // One maximal-rectangle sweep: per-column heights of consecutive free rows
-  // ending at the current row, and per row a monotonic stack enumerating
-  // every maximal free rectangle whose bottom edge is this row. Each
-  // rectangle (height h, span s) raises the frontier at its span; the
-  // suffix max afterwards turns that into H[w] = tallest free w-wide
-  // rectangle for every w. Heights reach the stack already clipped by the
-  // tail mask (bits past the width read busy), so spans clip at the edge.
-  bool ht_zero = true;
-  for (std::int32_t y = 0; y < L; ++y) {
-    const std::uint64_t* r = row(y);
-    std::uint64_t any = 0;
-    for (std::size_t i = 0; i < words_; ++i) any |= r[i];
-    if (any == 0) {
-      // Fully busy row: every height resets; rectangles ending above were
-      // already flushed at their own bottom rows.
-      if (!ht_zero) {
-        std::fill(ht, ht + W, 0);
-        ht_zero = true;
-      }
-      continue;
-    }
-    ht_zero = false;
-    std::int32_t sp = 0;
-    std::int32_t x = 0;
-    for (std::size_t i = 0; i < words_; ++i) {
-      std::uint64_t bits = r[i];
-      const std::int32_t lim = std::min<std::int32_t>(64, W - x);
-      for (std::int32_t j = 0; j < lim; ++j, ++x, bits >>= 1) {
-        const std::int32_t h = (bits & 1u) ? ht[x] + 1 : 0;
-        ht[x] = h;
-        std::int32_t start = x;
-        while (sp > 0 && sh[sp - 1] >= h) {
-          --sp;
-          if (sh[sp] > H[x - sx[sp]]) H[x - sx[sp]] = sh[sp];
-          start = sx[sp];
-        }
-        if (h > 0 && (sp == 0 || sh[sp - 1] < h)) {
-          sx[sp] = start;
-          sh[sp] = h;
-          ++sp;
-        }
-      }
-    }
-    while (sp > 0) {
-      --sp;
-      if (sh[sp] > H[W - sx[sp]]) H[W - sx[sp]] = sh[sp];
-    }
+  const std::size_t W = static_cast<std::size_t>(geom_.width());
+  const std::size_t stride = W + 1;
+  const std::size_t nblk = static_cast<std::size_t>((L + kLfBlockRows - 1) / kLfBlockRows);
+  if (lf_buf_.empty()) {
+    // One buffer (see the member comment), zeroed: H, the rolling heights,
+    // the two stack columns, then per block a checkpoint and span maxima.
+    lf_buf_.assign((W + 2) + W + 2 * stride + nblk * (W + stride), 0);
   }
-  for (std::int32_t w = W - 1; w >= 1; --w) H[w] = std::max(H[w], H[w + 1]);
+  std::int32_t* H = lf_buf_.data();
+  std::int32_t* ht = H + W + 2;
+  std::int32_t* ckpts = ht + W + 2 * stride;
+  std::int32_t* blkmax = ckpts + nblk * W;
+
+  // A block is restacked when one of its rows changed since the last sync
+  // (row stamps only grow, so "changed" is a stamp above the sync's
+  // generation; the first sync sees every row changed by the constructor's
+  // clear()) or the heights entering it (the block above's checkpoint)
+  // changed; a change ripples down only while the checkpoints keep changing.
+  bool carry = false;
+  bool any_restacked = false;
+  for (std::size_t blk = 0; blk < nblk; ++blk) {
+    const std::int32_t y0 = static_cast<std::int32_t>(blk) * kLfBlockRows;
+    const std::int32_t y_end = std::min(L, y0 + kLfBlockRows);
+    bool stale = carry;
+    for (std::int32_t y = y0; y < y_end && !stale; ++y)
+      stale = row_gen_[static_cast<std::size_t>(y)] > lf_frontier_gen_;
+    if (!stale) continue;
+    any_restacked = true;
+    if (blk == 0)
+      std::fill(ht, ht + W, 0);
+    else
+      std::copy_n(ckpts + (blk - 1) * W, W, ht);
+    std::int32_t* bm = blkmax + blk * stride;
+    std::fill(bm, bm + stride, 0);
+    for (std::int32_t y = y0; y < y_end; ++y) stack_frontier_row(y, bm);
+    std::int32_t* ck = ckpts + blk * W;
+    carry = !std::equal(ht, ht + W, ck);
+    if (carry) std::copy_n(ht, W, ck);
+  }
+
+  if (any_restacked) {
+    // H[w] = max over blocks, then the suffix max turns "tallest maximal
+    // rectangle of span exactly w" into "tallest free rectangle w wide".
+    std::copy_n(blkmax, stride, H);
+    for (std::size_t blk = 1; blk < nblk; ++blk) {
+      const std::int32_t* src = blkmax + blk * stride;
+      for (std::size_t w = 0; w < stride; ++w) H[w] = std::max(H[w], src[w]);
+    }
+    for (std::size_t w = W - 1; w >= 1; --w) H[w] = std::max(H[w], H[w + 1]);
+  }
   lf_frontier_gen_ = gen_counter_;
 }
 
-const std::uint64_t* OccupancyIndex::ensure_lf_level(std::int32_t w) const {
-  const std::size_t li = static_cast<std::size_t>(w) - 1;
-  if (lf_levels_.size() <= li) {
-    lf_levels_.resize(li + 1);
-    lf_level_gen_.resize(li + 1);
-    lf_level_nz_.resize(li + 1);
+void OccupancyIndex::stack_frontier_row(std::int32_t y, std::int32_t* bm) const {
+  const std::int32_t W = geom_.width();
+  std::int32_t* ht = lf_buf_.data() + W + 2;
+  const std::uint64_t* r = row(y);
+  std::uint64_t any = 0;
+  for (std::size_t i = 0; i < words_; ++i) any |= r[i];
+  if (any == 0) {
+    // Fully busy row: every height resets and no rectangle ends here.
+    std::fill(ht, ht + W, 0);
+    return;
   }
-  std::vector<std::uint64_t>& block = lf_levels_[li];
-  std::vector<std::uint64_t>& gens = lf_level_gen_[li];
-  std::vector<std::uint8_t>& nz = lf_level_nz_[li];
-  if (block.empty()) {
-    block.assign(free_.size(), 0);
-    gens.assign(static_cast<std::size_t>(geom_.length()), 0);  // 0 = never valid
-    nz.assign(static_cast<std::size_t>(geom_.length()), 0);
-  }
-  const std::uint64_t* prev = li == 0 ? nullptr : lf_levels_[li - 1].data();
-  for (std::int32_t y = 0; y < geom_.length(); ++y) {
-    const std::size_t yi = static_cast<std::size_t>(y);
-    if (gens[yi] == row_gen_[yi]) continue;
-    std::uint64_t* dst = block.data() + yi * words_;
-    const std::uint64_t* src = row(y);
-    std::uint64_t any = 0;
-    if (w == 1) {
-      for (std::size_t i = 0; i < words_; ++i) any |= (dst[i] = src[i]);
-    } else {
-      // R_w[y] = R_{w-1}[y] & (row >> (w-1)): a run of w starts at x iff a
-      // run of w-1 does and bit x+w-1 is also free.
-      shr_into(dst, src, words_, w - 1);
-      const std::uint64_t* p = prev + yi * words_;
-      for (std::size_t i = 0; i < words_; ++i) any |= (dst[i] &= p[i]);
-    }
-    nz[yi] = any != 0;
-    gens[yi] = row_gen_[yi];
-  }
-  return block.data();
-}
 
-std::optional<SubMesh> OccupancyIndex::largest_free_descent(
-    std::int32_t max_w, std::int32_t max_l, std::int64_t max_area) const {
-  const std::int32_t L = geom_.length();
-  lf_c_.resize(free_.size());
-
-  // The search ascends widths; each level's R_w masks (width-w run starts
-  // per row) come from the generation-stamped cache, so a carving loop's
-  // repeated queries recompute only the rows its own allocations dirtied.
-  // lf_c_ holds the height-l window AND within each w.
-  std::optional<SubMesh> best;
-  std::int64_t best_area = 0;
-  for (std::int32_t w = 1; w <= max_w; ++w) {
-    const std::uint64_t* level = ensure_lf_level(w);
-
-    // Seed the height-1 windows and the active-row list from the level's
-    // cached nonzero flags: only rows that actually hold a width-w run are
-    // copied or ever touched again. Rows whose window has gone empty can
-    // never come back as l grows, so each taller step touches only the
-    // surviving rows — on a busy mesh windows die fast and the l ascent
-    // costs next to nothing. The list is kept in ascending y, so its front
-    // is the legacy scan's "first base" row.
-    lf_active_.clear();
-    const std::vector<std::uint8_t>& nz = lf_level_nz_[static_cast<std::size_t>(w) - 1];
-    for (std::int32_t y = 0; y < L; ++y) {
-      if (!nz[static_cast<std::size_t>(y)]) continue;
-      const std::uint64_t* src = level + static_cast<std::size_t>(y) * words_;
-      std::uint64_t* dst = lf_c_.data() + static_cast<std::size_t>(y) * words_;
-      std::copy(src, src + words_, dst);
-      lf_active_.push_back(y);
-    }
-    if (lf_active_.empty()) break;  // no width-w free run ⇒ none wider either
-
-    for (std::int32_t l = 1; l <= max_l; ++l) {
-      if (l > 1) {
-        std::size_t out = 0;
-        for (const std::int32_t y : lf_active_) {
-          if (y + l > L) continue;  // window would stick out the bottom
-          std::uint64_t* c = lf_c_.data() + static_cast<std::size_t>(y) * words_;
-          const std::uint64_t* r = level + static_cast<std::size_t>(y + l - 1) * words_;
-          bool nonzero = false;
-          for (std::size_t i = 0; i < words_; ++i) nonzero |= (c[i] &= r[i]) != 0;
-          if (nonzero) lf_active_[out++] = y;
-        }
-        lf_active_.resize(out);
+  // Per-column heights of consecutive free rows ending at this row, and a
+  // monotonic stack enumerating every maximal free rectangle whose bottom
+  // edge is this row: each (height h, span s) raises bm[s]. Heights reach
+  // the stack already clipped by the tail mask (bits past the width read
+  // busy), so spans clip at the edge.
+  std::int32_t* sx = ht + W;
+  std::int32_t* sh = sx + W + 1;
+  std::int32_t sp = 0;
+  std::int32_t x = 0;
+  for (std::size_t i = 0; i < words_; ++i) {
+    std::uint64_t bits = r[i];
+    const std::int32_t lim = std::min<std::int32_t>(64, W - x);
+    for (std::int32_t j = 0; j < lim; ++j, ++x, bits >>= 1) {
+      const std::int32_t h = (bits & 1u) ? ht[x] + 1 : 0;
+      ht[x] = h;
+      std::int32_t start = x;
+      while (sp > 0 && sh[sp - 1] >= h) {
+        --sp;
+        if (sh[sp] > bm[x - sx[sp]]) bm[x - sx[sp]] = sh[sp];
+        start = sx[sp];
       }
-      if (lf_active_.empty()) break;  // taller windows only lose candidates
-
-      const std::int64_t area = static_cast<std::int64_t>(w) * l;
-      if (area > max_area) break;     // area grows with l for fixed w
-      if (area <= best_area) continue;  // same skip rule as the legacy scan
-      const std::int32_t y = lf_active_.front();
-      const std::uint64_t* c = lf_c_.data() + static_cast<std::size_t>(y) * words_;
-      best = SubMesh::from_base(Coord{lowest_bit(c, words_), y}, w, l);
-      best_area = area;
+      if (h > 0 && (sp == 0 || sh[sp - 1] < h)) {
+        sx[sp] = start;
+        sh[sp] = h;
+        ++sp;
+      }
     }
   }
-  return best;
-}
-
-std::optional<SubMesh> OccupancyIndex::largest_free_impl(std::int32_t max_w,
-                                                         std::int32_t max_l,
-                                                         std::int64_t max_area) const {
-  max_w = std::min(max_w, geom_.width());
-  max_l = std::min(max_l, geom_.length());
-  if (max_w <= 0 || max_l <= 0 || max_area <= 0) return std::nullopt;
-
-  // Dispatch (see the header): a fresh frontier answers in O(max_w); a
-  // stale one is recomputed unless the query is narrow and the occupancy
-  // changed since the previous query — the carving shape — in which case
-  // the stamped-level descent only touches dirtied rows. "Narrow" is capped
-  // both relatively (max_w ≤ W/4) and absolutely (max_w ≤ 48): the descent
-  // builds one run-mask level per candidate width, so past a few dozen
-  // widths the single maximal-rectangle pass is cheaper even when it scans
-  // the whole bitmap (measured crossover on the 512×512 sweep profile).
-  if (lf_frontier_gen_ != gen_counter_) {
-    const bool burst = lf_last_query_gen_ == gen_counter_;
-    lf_last_query_gen_ = gen_counter_;
-    if (!burst && max_w * 4 <= geom_.width() && max_w <= 48) {
-      ++qstats_.descent_queries;
-      return largest_free_descent(max_w, max_l, max_area);
-    }
-    ensure_frontier();
-  } else {
-    ++qstats_.frontier_hits;
+  while (sp > 0) {
+    --sp;
+    if (sh[sp] > bm[W - sx[sp]]) bm[W - sx[sp]] = sh[sp];
   }
-  return largest_free_from_frontier(max_w, max_l, max_area);
 }
 
-std::optional<SubMesh> OccupancyIndex::largest_free_from_frontier(
+std::pair<std::int32_t, std::int32_t> OccupancyIndex::frontier_winner(
     std::int32_t max_w, std::int32_t max_l, std::int64_t max_area) const {
-  // Winner selection over the feasibility frontier, reproducing the oracle's
-  // (width asc, length asc) scan: for width w the best feasible capped
-  // length is l_w = min(H[w], max_l, max_area/w); the oracle's answer is the
-  // maximum of w·l_w with the *first* (smallest) w attaining it, because in
-  // its scan a later pair only replaces the best on a strictly larger area.
+  // Reproduces the oracle's (width asc, length asc) scan: for width w the
+  // best feasible capped length is l_w = min(H[w], max_l, max_area/w); the
+  // oracle's answer is the maximum of w·l_w with the *first* (smallest) w
+  // attaining it, because in its scan a later pair only replaces the best
+  // on a strictly larger area.
   std::int64_t best_area = 0;
   std::int32_t best_w = 0;
   std::int32_t best_l = 0;
-  const std::int32_t* H = lf_frontier_.data();
+  const std::int32_t* H = lf_buf_.data();
   for (std::int32_t w = 1; w <= max_w; ++w) {
     std::int32_t l = H[w];
     if (l == 0) break;  // the frontier is non-increasing: no wider rect exists
@@ -678,11 +578,35 @@ std::optional<SubMesh> OccupancyIndex::largest_free_from_frontier(
       best_l = l;
     }
   }
-  if (best_area == 0) return std::nullopt;
-  // The base is the first (y, x) hosting the winning width×length — exactly
-  // the oracle's inner row-major scan, i.e. a first_fit of that shape (which
-  // must succeed: the frontier only reports feasible shapes).
-  return first_fit_impl(free_.data(), best_w, best_l);
+  return {best_w, best_l};
+}
+
+std::optional<SubMesh> OccupancyIndex::largest_free_impl(std::int32_t max_w,
+                                                         std::int32_t max_l,
+                                                         std::int64_t max_area) const {
+  max_w = std::min(max_w, geom_.width());
+  max_l = std::min(max_l, geom_.length());
+  if (max_w <= 0 || max_l <= 0 || max_area <= 0) return std::nullopt;
+
+  // A fresh frontier is exact; one that saw only allocations since its sync
+  // is an upper bound whose winner is exact when first_fit places it (see
+  // the header). Anything else syncs first. The base is the first (y, x)
+  // hosting the winning shape — exactly the oracle's inner row-major scan.
+  if (!lf_buf_.empty() && release_gen_ <= lf_frontier_gen_) {
+    const auto [w, l] = frontier_winner(max_w, max_l, max_area);
+    if (w == 0) {
+      ++qstats_.frontier_hits;
+      return std::nullopt;
+    }
+    if (auto s = first_fit_impl(free_.data(), w, l)) {
+      ++qstats_.frontier_hits;
+      return s;
+    }
+  }
+  sync_frontier();
+  const auto [w, l] = frontier_winner(max_w, max_l, max_area);
+  if (w == 0) return std::nullopt;
+  return first_fit_impl(free_.data(), w, l);
 }
 
 std::optional<SubMesh> OccupancyIndex::first_fit(std::int32_t a, std::int32_t b) const {

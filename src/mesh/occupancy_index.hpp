@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "mesh/coord.hpp"
@@ -120,25 +121,23 @@ class OccupancyIndex {
   /// optionally area <= max_area; ties resolve to the first candidate in
   /// deterministic (width, length, base) scan order (GABL's inner search).
   ///
-  /// Primary algorithm: a maximal-rectangle computation. One pass over the
-  /// bitmap maintains per-column free-run heights and runs a monotonic
-  /// stack per row, recording every maximal free rectangle into the
-  /// *feasibility frontier* H — H[w] is the tallest l such that a free w×l
-  /// sub-mesh exists, non-increasing in w. The frontier is cached under the
-  /// index generation counter, so any number of queries between occupancy
-  /// changes share one O(W·L) pass and each cost O(max_w) to pick the
-  /// winner plus one first_fit for its base.
+  /// Answered from one feasibility frontier H — H[w] is the tallest l such
+  /// that a free w×l sub-mesh exists, non-increasing in w — in O(max_w) to
+  /// pick the winner plus one first_fit for its base. The frontier is kept
+  /// incrementally: per block of rows it stores the tallest maximal free
+  /// rectangle per span ending in the block and the per-column free-run
+  /// heights at the block's last row. A sync recomputes (heights + one
+  /// monotonic stack per row) only the blocks holding a row whose occupancy
+  /// stamp went stale or whose incoming heights changed, then folds the
+  /// block maxima into H. A cold sync is one stack pass over every row.
   ///
-  /// Cap-bounded staleness path: when the frontier is stale, the caps are
-  /// narrow (max_w ≤ W/4) and the previous query saw a different occupancy
-  /// (no burst), a full-mesh pass would mostly measure rectangles the caps
-  /// exclude — GABL's carving loop is exactly this shape, one narrowing
-  /// query per carved piece. Those queries run a per-width descent over
-  /// generation-stamped run-mask levels instead, recomputing only rows the
-  /// carving itself dirtied. A second query on the *same* occupancy (a
-  /// burst) or wide caps promote to the frontier pass, so repeated queries
-  /// always end up amortized O(max_w). Both paths reproduce the oracle
-  /// answer bit for bit; which one runs is never observable.
+  /// Allocation only removes free space, so after allocate-only changes the
+  /// last frontier is an upper bound of the true one, and its cap-winner
+  /// (w*, l*) is exactly the true winner whenever the first_fit(w*, l*)
+  /// that places it succeeds: every other width's true capped area is at
+  /// most its bound area. GABL's carving loop (query, allocate the piece,
+  /// query with narrower caps) is answered that way without a sync. A miss,
+  /// any release or clear() forces a sync.
   ///
   /// Tie-breaking semantics (bit-identical to FreeSubmeshScan::largest_free,
   /// see README "Allocators & the occupancy index"): maximum capped area
@@ -154,17 +153,17 @@ class OccupancyIndex {
   /// only stale rows, so steady churn pays O(rows touched).
   [[nodiscard]] std::int32_t max_free_run() const;
 
-  /// Observability: how often each query family ran and which largest_free
-  /// path answered. Monotone per run (clear() resets); bumping them is the
+  /// Observability: how often each query family ran and how largest_free
+  /// was answered. Monotone per run (clear() resets); bumping them is the
   /// only side effect queries have on this struct, so attaching a reader
   /// can never change an answer.
   struct QueryStats {
     std::uint64_t first_fit_queries{0};   ///< first_fit + rotatable + assuming
     std::uint64_t best_fit_queries{0};
     std::uint64_t largest_free_queries{0};
-    std::uint64_t frontier_passes{0};     ///< full maximal-rectangle passes
-    std::uint64_t frontier_hits{0};       ///< largest_free served by a valid frontier
-    std::uint64_t descent_queries{0};     ///< cap-bounded stale-path answers
+    std::uint64_t frontier_passes{0};     ///< frontier syncs
+    std::uint64_t frontier_hits{0};       ///< largest_free answered without a sync
+    std::uint64_t descent_queries{0};     ///< always 0; kept for existing readers
   };
   [[nodiscard]] const QueryStats& query_stats() const noexcept { return qstats_; }
 
@@ -215,26 +214,19 @@ class OccupancyIndex {
   /// max runs), recomputing only rows whose generation stamp is stale.
   void ensure_summaries() const;
 
-  /// Validates the largest_free feasibility frontier: one maximal-rectangle
-  /// pass (per-column heights + monotonic stack) whenever any occupancy
-  /// changed since the last pass.
-  void ensure_frontier() const;
+  /// Brings the largest_free frontier up to date with the occupancy (see
+  /// largest_free); allocates its arrays on first use.
+  void sync_frontier() const;
 
-  /// Winner selection over a *fresh* frontier (caller ensures validity).
-  [[nodiscard]] std::optional<SubMesh> largest_free_from_frontier(
+  /// Advances the rolling heights to row `y` and raises `bm[s]` to
+  /// the height of every maximal free rectangle of span s whose bottom edge
+  /// is row y (monotonic stack).
+  void stack_frontier_row(std::int32_t y, std::int32_t* bm) const;
+
+  /// Winner selection over frontier H: the oracle's (width, length) choice
+  /// under the caps, or {0, 0} when no shape fits.
+  [[nodiscard]] std::pair<std::int32_t, std::int32_t> frontier_winner(
       std::int32_t max_w, std::int32_t max_l, std::int64_t max_area) const;
-
-  /// Cap-bounded per-width descent for stale-frontier narrow queries; exact
-  /// and oracle-identical for any caps, but only profitable when max_w is
-  /// small against the mesh width.
-  [[nodiscard]] std::optional<SubMesh> largest_free_descent(
-      std::int32_t max_w, std::int32_t max_l, std::int64_t max_area) const;
-
-  /// Validates (against per-row stamps) and returns the width-`w` run-mask
-  /// level block for the descent: bit x of row y ⇒ a horizontal run of `w`
-  /// free nodes starts at (x, y). Levels build incrementally (level w reads
-  /// level w-1), so callers ascend w from 1.
-  [[nodiscard]] const std::uint64_t* ensure_lf_level(std::int32_t w) const;
 
   /// Marks row `y`'s cached summaries stale (occupancy changed).
   void dirty_row(std::int32_t y) { row_gen_[static_cast<std::size_t>(y)] = ++gen_counter_; }
@@ -270,21 +262,17 @@ class OccupancyIndex {
   mutable std::vector<std::uint64_t> rows_any_free_;  ///< bit y ⇒ row y has a free node
   mutable std::vector<std::int32_t> blk_max_run_;   ///< max row_max_run_ per block
 
-  // largest_free feasibility frontier + maximal-rectangle pass scratch.
-  mutable std::vector<std::int32_t> lf_frontier_;  ///< H[w]: tallest free w-wide rect
-  mutable std::uint64_t lf_frontier_gen_{0};       ///< gen_counter_ at last pass
-  mutable std::uint64_t lf_last_query_gen_{0};     ///< burst detection
-  mutable std::vector<std::int32_t> lf_ht_;        ///< per-column free-run heights
-  mutable std::vector<std::int32_t> lf_stack_x_;   ///< monotonic stack: start col
-  mutable std::vector<std::int32_t> lf_stack_h_;   ///< monotonic stack: height
-
-  // largest_free descent path (stale-frontier narrow queries): per-width
-  // run-mask levels with per-row stamps, window AND scratch, live-row list.
-  mutable std::vector<std::uint64_t> lf_c_;  ///< descent: window AND
-  mutable std::vector<std::int32_t> lf_active_;  ///< rows with live windows
-  mutable std::vector<std::vector<std::uint64_t>> lf_levels_;    ///< R_w blocks
-  mutable std::vector<std::vector<std::uint64_t>> lf_level_gen_; ///< stamps
-  mutable std::vector<std::vector<std::uint8_t>> lf_level_nz_;   ///< row has runs?
+  // largest_free frontier, allocated by the first sync. Rows are grouped
+  // into blocks of kLfBlockRows, the unit a sync restacks. lf_buf_ holds,
+  // in order: H[0..W+1] (H[w] = tallest free w-wide rectangle), the rolling
+  // per-column free-run heights (W), the monotonic stack's start columns
+  // and heights (W+1 each), then per block the heights at its last row (W)
+  // and, per span s in [0, W], the tallest maximal free rectangle of span
+  // exactly s ending in the block.
+  static constexpr std::int32_t kLfBlockRows = 8;
+  std::uint64_t release_gen_{0};  ///< gen_counter_ at the last release/clear
+  mutable std::vector<std::int32_t> lf_buf_;
+  mutable std::uint64_t lf_frontier_gen_{0};  ///< gen_counter_ at the last sync
 
   // best_fit scoring cache: per-row within-row free-count prefix sums,
   // valid iff the row's stamp matches row_gen_ (so allocate/release keep it

@@ -7,16 +7,20 @@
 
 namespace procsim::network {
 
-/// Directed channel identifiers for a W×L mesh or torus.
+/// Directed channel identifiers for a W×L mesh or torus (N = W·L nodes).
 ///
-/// Every directed link carries two virtual channels:
+/// On the torus every directed link carries two virtual channels:
 ///   id = (dir*2 + vc)*N + source_node,           dirs 0..3, vc 0..1
 /// followed by injection ports (8N..9N-1) and ejection ports (9N..10N-1).
-/// On the mesh only VC0 is ever used. On the torus the second VC implements
-/// the classic dateline scheme: a packet starts a dimension on VC0 and
-/// switches to VC1 when it crosses that dimension's wrap-around link, which
-/// breaks the ring's cyclic channel dependency — without this, wormhole
-/// switching on a torus deadlocks (caught by tests/test_network.cpp).
+/// The second VC implements the classic dateline scheme: a packet starts a
+/// dimension on VC0 and switches to VC1 when it crosses that dimension's
+/// wrap-around link, which breaks the ring's cyclic channel dependency —
+/// without this, wormhole switching on a torus deadlocks (caught by
+/// tests/test_network.cpp).
+///
+/// The mesh only ever uses VC0, so it numbers links dir*N + source_node,
+/// injection ports 4N..5N-1 and ejection ports 5N..6N-1: 6N channels, in
+/// the same relative order as the torus layout's VC0 channels.
 ///
 /// Injection/ejection are modelled as channels too, so packets from one
 /// source serialise naturally and hot destinations contend, as in ProcSimity.
@@ -29,25 +33,25 @@ class ChannelMap {
   explicit ChannelMap(mesh::Geometry geom, bool torus = false) noexcept
       : geom_(geom), torus_(torus) {}
 
-  [[nodiscard]] std::int32_t channel_count() const noexcept { return 10 * geom_.nodes(); }
+  [[nodiscard]] std::int32_t channel_count() const noexcept {
+    return (vcs() * 4 + 2) * geom_.nodes();
+  }
 
   [[nodiscard]] ChannelId link(mesh::NodeId from, Direction dir,
                                std::int32_t vc = 0) const noexcept {
-    return (static_cast<std::int32_t>(dir) * 2 + vc) * geom_.nodes() + from;
+    return (static_cast<std::int32_t>(dir) * vcs() + vc) * geom_.nodes() + from;
   }
   [[nodiscard]] ChannelId injection(mesh::NodeId node) const noexcept {
-    return 8 * geom_.nodes() + node;
+    return vcs() * 4 * geom_.nodes() + node;
   }
   [[nodiscard]] ChannelId ejection(mesh::NodeId node) const noexcept {
-    return 9 * geom_.nodes() + node;
+    return (vcs() * 4 + 1) * geom_.nodes() + node;
   }
 
   [[nodiscard]] bool is_injection(ChannelId c) const noexcept {
-    return c >= 8 * geom_.nodes() && c < 9 * geom_.nodes();
+    return c >= injection(0) && c < ejection(0);
   }
-  [[nodiscard]] bool is_ejection(ChannelId c) const noexcept {
-    return c >= 9 * geom_.nodes();
-  }
+  [[nodiscard]] bool is_ejection(ChannelId c) const noexcept { return c >= ejection(0); }
 
   [[nodiscard]] const mesh::Geometry& geometry() const noexcept { return geom_; }
   [[nodiscard]] bool torus() const noexcept { return torus_; }
@@ -64,6 +68,9 @@ class ChannelMap {
   [[nodiscard]] std::int32_t hop_count(mesh::NodeId src, mesh::NodeId dst) const noexcept;
 
  private:
+  /// Virtual channels per directed link: the dateline pair on the torus.
+  [[nodiscard]] std::int32_t vcs() const noexcept { return torus_ ? 2 : 1; }
+
   mesh::Geometry geom_;
   bool torus_;
 };

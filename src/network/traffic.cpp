@@ -69,16 +69,27 @@ std::vector<IndexPair> generate_message_plan(TrafficPattern pattern, std::int32_
   return plan;
 }
 
+mesh::NodeId block_node(std::span<const mesh::SubMesh> blocks,
+                        const mesh::Geometry& geom, std::int32_t i) {
+  if (i >= 0) {
+    for (const mesh::SubMesh& b : blocks) {
+      if (i < b.area())
+        return geom.id(mesh::Coord{b.x1 + i % b.width(), b.y1 + i / b.width()});
+      i -= b.area();
+    }
+  }
+  throw std::out_of_range("block_node: index outside the blocks");
+}
+
 std::vector<SrcDst> map_plan(std::span<const IndexPair> plan,
-                             std::span<const mesh::NodeId> nodes) {
+                             std::span<const mesh::SubMesh> blocks,
+                             const mesh::Geometry& geom, std::int32_t processors) {
   std::vector<SrcDst> out;
   out.reserve(plan.size());
   for (const auto& [si, di] : plan) {
-    if (si < 0 || di < 0 || std::cmp_greater_equal(si, nodes.size()) ||
-        std::cmp_greater_equal(di, nodes.size()) || si == di)
+    if (si < 0 || di < 0 || si >= processors || di >= processors || si == di)
       throw std::invalid_argument("map_plan: plan index out of range");
-    out.emplace_back(nodes[static_cast<std::size_t>(si)],
-                     nodes[static_cast<std::size_t>(di)]);
+    out.emplace_back(block_node(blocks, geom, si), block_node(blocks, geom, di));
   }
   return out;
 }

@@ -7,6 +7,7 @@
 
 #include "des/rng.hpp"
 #include "mesh/coord.hpp"
+#include "mesh/submesh.hpp"
 
 namespace procsim::network {
 
@@ -40,8 +41,17 @@ using IndexPair = std::pair<std::int32_t, std::int32_t>;
 /// One packet to inject: (source node, destination node).
 using SrcDst = std::pair<mesh::NodeId, mesh::NodeId>;
 
-/// Binds a plan to the processors the allocator granted.
+/// The i-th node of a placement's blocks: block order, row-major inside
+/// each block. Throws std::out_of_range unless 0 <= i < total block area.
+[[nodiscard]] mesh::NodeId block_node(std::span<const mesh::SubMesh> blocks,
+                                      const mesh::Geometry& geom, std::int32_t i);
+
+/// Binds a plan to the processors the allocator granted: index i is
+/// block_node(blocks, geom, i), and every index must lie below
+/// `processors` (the job's compute nodes; the blocks may hold more).
 [[nodiscard]] std::vector<SrcDst> map_plan(std::span<const IndexPair> plan,
-                                           std::span<const mesh::NodeId> nodes);
+                                           std::span<const mesh::SubMesh> blocks,
+                                           const mesh::Geometry& geom,
+                                           std::int32_t processors);
 
 }  // namespace procsim::network

@@ -35,9 +35,8 @@ struct Counters {
   std::uint64_t telemetry_samples{0};
 
   // Pulled from subsystem tallies at the end of each run (SystemSim::run).
-  std::uint64_t index_frontier_passes{0};  ///< full maximal-rectangle sweeps
-  std::uint64_t index_frontier_hits{0};    ///< largest_free answered from frontier
-  std::uint64_t index_descent_queries{0};  ///< stale-narrow fast-path queries
+  std::uint64_t index_frontier_passes{0};  ///< largest_free frontier syncs
+  std::uint64_t index_frontier_hits{0};    ///< largest_free answered without a sync
   std::uint64_t index_first_fit_queries{0};
   std::uint64_t index_best_fit_queries{0};
   std::uint64_t calendar_rebuckets{0};     ///< calendar-queue resizes

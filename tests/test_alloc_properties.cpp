@@ -14,6 +14,7 @@
 #include "core/experiment.hpp"
 #include "des/distributions.hpp"
 #include "des/rng.hpp"
+#include "network/traffic.hpp"
 #include "workload/shape.hpp"
 
 namespace {
@@ -43,6 +44,15 @@ class AllocProperty : public ::testing::TestWithParam<Param> {
   [[nodiscard]] std::uint64_t seed() const { return std::get<2>(GetParam()); }
 };
 
+/// The job's `n` compute nodes, resolved index by index as SystemSim binds
+/// a message plan.
+std::vector<NodeId> compute_nodes(const Placement& p, const Geometry& g, std::int32_t n) {
+  std::vector<NodeId> out;
+  for (std::int32_t i = 0; i < n; ++i)
+    out.push_back(procsim::network::block_node(p.blocks, g, i));
+  return out;
+}
+
 /// Every block of a placement lies in the mesh and blocks are disjoint.
 void expect_placement_sound(const Placement& p, const Geometry& g, const Request& req) {
   std::int32_t covered = 0;
@@ -56,12 +66,14 @@ void expect_placement_sound(const Placement& p, const Geometry& g, const Request
     for (std::size_t j = i + 1; j < p.blocks.size(); ++j)
       EXPECT_FALSE(p.blocks[i].overlaps(p.blocks[j]));
   EXPECT_EQ(covered, p.allocated);
-  EXPECT_EQ(static_cast<std::int32_t>(p.compute_nodes.size()), req.processors);
   EXPECT_LE(req.processors, p.allocated);
-  // Compute nodes are distinct and lie inside the blocks.
-  std::set<NodeId> uniq(p.compute_nodes.begin(), p.compute_nodes.end());
-  EXPECT_EQ(uniq.size(), p.compute_nodes.size());
-  for (const NodeId n : p.compute_nodes) {
+  // All req.processors compute nodes resolve, are distinct and lie inside
+  // the blocks.
+  const std::vector<NodeId> nodes = compute_nodes(p, g, req.processors);
+  EXPECT_EQ(static_cast<std::int32_t>(nodes.size()), req.processors);
+  std::set<NodeId> uniq(nodes.begin(), nodes.end());
+  EXPECT_EQ(uniq.size(), nodes.size());
+  for (const NodeId n : nodes) {
     bool inside = false;
     for (const SubMesh& b : p.blocks)
       if (b.contains(g.coord(n))) inside = true;
@@ -165,7 +177,8 @@ TEST_P(AllocProperty, DeterministicForIdenticalSequences) {
     ASSERT_EQ(p1.has_value(), p2.has_value());
     if (p1) {
       EXPECT_EQ(p1->blocks, p2->blocks);
-      EXPECT_EQ(p1->compute_nodes, p2->compute_nodes);
+      EXPECT_EQ(compute_nodes(*p1, a1->geometry(), r1.processors),
+                compute_nodes(*p2, a2->geometry(), r2.processors));
     }
   }
 }
@@ -213,7 +226,8 @@ TEST(AllocTraceShapes, AllNonContiguousHandleArbitraryP) {
       const auto [w, l] = procsim::workload::shape_for_processors(p, g);
       const auto placement = alloc->allocate(Request{w, l, p});
       ASSERT_TRUE(placement.has_value()) << spec.label() << " p=" << p;
-      EXPECT_EQ(static_cast<std::int32_t>(placement->compute_nodes.size()), p);
+      EXPECT_GE(placement->allocated, p);
+      EXPECT_EQ(static_cast<std::int32_t>(compute_nodes(*placement, g, p).size()), p);
       alloc->release(*placement);
       EXPECT_EQ(alloc->free_processors(), g.nodes());
     }

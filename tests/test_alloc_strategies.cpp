@@ -8,6 +8,7 @@
 #include "alloc/mbs.hpp"
 #include "alloc/paging.hpp"
 #include "alloc/random_alloc.hpp"
+#include "network/traffic.hpp"
 
 namespace {
 
@@ -21,7 +22,17 @@ using procsim::alloc::RandomAllocator;
 using procsim::alloc::Request;
 using procsim::mesh::Coord;
 using procsim::mesh::Geometry;
+using procsim::mesh::NodeId;
 using procsim::mesh::SubMesh;
+using procsim::network::block_node;
+
+/// The first `n` compute nodes of a placement, resolved one index at a time
+/// as SystemSim binds a message plan.
+std::vector<NodeId> resolve_nodes(const Placement& p, const Geometry& g, std::int32_t n) {
+  std::vector<NodeId> out;
+  for (std::int32_t i = 0; i < n; ++i) out.push_back(block_node(p.blocks, g, i));
+  return out;
+}
 
 // ------------------------------------------------------------------- Paging
 
@@ -30,8 +41,8 @@ TEST(Paging, Paging0TakesFirstFreeNodesRowMajor) {
   const auto p = a.allocate(Request{2, 3, 5});
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->allocated, 5);
-  ASSERT_EQ(p->compute_nodes.size(), 5u);
-  for (std::int32_t i = 0; i < 5; ++i) EXPECT_EQ(p->compute_nodes[static_cast<std::size_t>(i)], i);
+  for (std::int32_t i = 0; i < 5; ++i) EXPECT_EQ(block_node(p->blocks, Geometry(4, 4), i), i);
+  EXPECT_THROW((void)block_node(p->blocks, Geometry(4, 4), 5), std::out_of_range);
 }
 
 TEST(Paging, Paging0HasNoInternalFragmentation) {
@@ -48,7 +59,8 @@ TEST(Paging, LargerPagesCauseInternalFragmentation) {
   ASSERT_TRUE(p.has_value());
   // 9 processors need ceil(9/4) = 3 pages = 12 allocated.
   EXPECT_EQ(p->allocated, 12);
-  EXPECT_EQ(static_cast<std::int32_t>(p->compute_nodes.size()), 9);
+  const std::vector<NodeId> nodes = resolve_nodes(*p, Geometry(16, 16), 9);
+  EXPECT_EQ(std::set<NodeId>(nodes.begin(), nodes.end()).size(), 9u);
   EXPECT_EQ(a.free_processors(), 256 - 12);
 }
 
@@ -192,6 +204,42 @@ TEST(Gabl, AllocatesExactlyAxB) {
   }
 }
 
+TEST(Gabl, MultiBlockComputeNodesFollowRowMajorBlockOrder) {
+  // Fill a 16×16 mesh node by node, then free a 3×3, a 4×2 and a 2×2 hole:
+  // a 4×4 request (p = 14, trace-style) must be carved into mixed shapes.
+  const Geometry g(16, 16);
+  GablAllocator a(g);
+  std::vector<Placement> singles;
+  for (std::int32_t i = 0; i < g.nodes(); ++i) {
+    auto p = a.allocate(Request{1, 1, 1});
+    ASSERT_TRUE(p.has_value());
+    singles.push_back(std::move(*p));
+  }
+  for (const SubMesh& hole : {SubMesh{1, 1, 3, 3}, SubMesh{8, 5, 11, 6}, SubMesh{12, 12, 13, 13}})
+    for (std::int32_t y = hole.y1; y <= hole.y2; ++y)
+      for (std::int32_t x = hole.x1; x <= hole.x2; ++x)
+        a.release(singles[static_cast<std::size_t>(g.id(Coord{x, y}))]);
+  const auto p = a.allocate(Request{4, 4, 14});
+  ASSERT_TRUE(p.has_value());
+  ASSERT_GE(p->blocks.size(), 3u);
+  ASSERT_EQ(p->allocated, 16);
+  // The old eager enumeration: block order, row-major inside each block.
+  std::vector<NodeId> want;
+  for (const SubMesh& b : p->blocks)
+    for (std::int32_t y = b.y1; y <= b.y2; ++y)
+      for (std::int32_t x = b.x1; x <= b.x2; ++x) want.push_back(g.id(Coord{x, y}));
+  for (std::int32_t i = 0; i < 14; ++i)
+    EXPECT_EQ(block_node(p->blocks, g, i), want[static_cast<std::size_t>(i)]) << "i=" << i;
+  // Plan indices bind the same nodes; index p and beyond are rejected.
+  const std::vector<procsim::network::IndexPair> plan{{0, 13}, {13, 9}};
+  const auto traffic = procsim::network::map_plan(plan, p->blocks, g, 14);
+  EXPECT_EQ(traffic[0], std::make_pair(want[0], want[13]));
+  EXPECT_EQ(traffic[1], std::make_pair(want[13], want[9]));
+  EXPECT_THROW((void)procsim::network::map_plan(
+                   std::vector<procsim::network::IndexPair>{{0, 14}}, p->blocks, g, 14),
+               std::invalid_argument);
+}
+
 TEST(Gabl, FailsIffFreeBelowAxB) {
   GablAllocator a(Geometry(6, 6));
   const auto p1 = a.allocate(Request{5, 6, 30});
@@ -256,8 +304,8 @@ TEST(Random, AllocatesDistinctFreeNodes) {
   RandomAllocator a(Geometry(6, 6), 42);
   const auto p = a.allocate(Request{6, 6, 30});
   ASSERT_TRUE(p.has_value());
-  std::set<procsim::mesh::NodeId> uniq(p->compute_nodes.begin(), p->compute_nodes.end());
-  EXPECT_EQ(uniq.size(), 30u);
+  const std::vector<NodeId> nodes = resolve_nodes(*p, Geometry(6, 6), 30);
+  EXPECT_EQ(std::set<NodeId>(nodes.begin(), nodes.end()).size(), 30u);
   EXPECT_EQ(a.free_processors(), 6);
   EXPECT_FALSE(a.allocate(Request{7, 1, 7}).has_value());
 }

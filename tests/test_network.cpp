@@ -78,7 +78,16 @@ TEST(Routing, ChannelIdsAreDisjointRanges) {
   EXPECT_TRUE(map.is_injection(map.injection(5)));
   EXPECT_FALSE(map.is_ejection(map.injection(5)));
   EXPECT_TRUE(map.is_ejection(map.ejection(5)));
-  EXPECT_EQ(map.channel_count(), 10 * 16);  // 8 link VCs + inj + ej per node
+  EXPECT_EQ(map.channel_count(), 6 * 16);  // 4 links + inj + ej per node (VC0 only)
+  EXPECT_EQ(map.ejection(15), 6 * 16 - 1);
+
+  const ChannelMap torus(Geometry(4, 4), /*torus=*/true);
+  EXPECT_EQ(torus.channel_count(), 10 * 16);  // 8 link VCs + inj + ej per node
+  EXPECT_EQ(torus.link(0, Direction::kSouth, 1), 7 * 16);
+  EXPECT_TRUE(torus.is_injection(torus.injection(0)));
+  EXPECT_FALSE(torus.is_injection(torus.link(15, Direction::kSouth, 1)));
+  EXPECT_TRUE(torus.is_ejection(torus.ejection(5)));
+  EXPECT_FALSE(torus.is_ejection(torus.injection(15)));
 }
 
 // ----------------------------------------------------------------- Wormhole

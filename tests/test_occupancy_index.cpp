@@ -206,8 +206,9 @@ TEST_P(WideIndexEquivalence, MatchesLegacyScanUnderChurn) {
         << "step " << step << " q=" << qa << "x" << qb;
     ASSERT_EQ(idx.best_fit(qa, qb), oracle.best_fit(qa, qb))
         << "step " << step << " q=" << qa << "x" << qb;
-    // Narrow caps take the descent path, wide caps the frontier pass; both
-    // must reproduce the oracle at these widths.
+    // Capped queries on a mesh that just changed: an allocation leaves the
+    // frontier an upper bound, a release forces a sync; both must reproduce
+    // the oracle at these widths.
     const auto cw = static_cast<std::int32_t>(
         procsim::des::sample_uniform_int(rng, 1, std::min(g.width(), 16)));
     const auto cl = static_cast<std::int32_t>(
@@ -225,6 +226,121 @@ TEST_P(WideIndexEquivalence, MatchesLegacyScanUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(WordBoundary512, WideIndexEquivalence,
                          ::testing::Values(511, 512));
+
+/// Largest sub-rectangle of `found` with area <= budget, anchored at its
+/// base (GABL's trim of a carved piece to what the job still owes).
+SubMesh trim_to_budget(const SubMesh& found, std::int64_t budget) {
+  if (found.area() <= budget) return found;
+  std::int32_t best_w = 1;
+  std::int32_t best_l = 1;
+  std::int64_t best_area = 0;
+  for (std::int32_t w = 1; w <= found.width(); ++w) {
+    const std::int32_t l =
+        std::min<std::int32_t>(found.length(), static_cast<std::int32_t>(budget / w));
+    if (l < 1) break;
+    if (static_cast<std::int64_t>(w) * l > best_area) {
+      best_area = static_cast<std::int64_t>(w) * l;
+      best_w = w;
+      best_l = l;
+    }
+  }
+  return SubMesh::from_base(found.base(), best_w, best_l);
+}
+
+/// GABL-style carving runs — largest_free, allocate the trimmed piece, query
+/// again with the piece's sides as the new caps — interleaved with releases
+/// and contiguous placements that fragment the mesh. Every answer must equal
+/// the oracle's, and the runs must exercise both ways an answer is reached
+/// after an allocation: from the stale frontier as an upper bound (no sync)
+/// and through a sync after the bound's first_fit missed.
+class CarvingEquivalence : public ::testing::TestWithParam<Geometry> {};
+
+TEST_P(CarvingEquivalence, CarvingRunsMatchLegacyScan) {
+  const Geometry g = GetParam();
+  procsim::des::Xoshiro256SS rng(0xCA7E + static_cast<std::uint64_t>(g.nodes()));
+  MeshState state(g);
+  OccupancyIndex idx(g);
+  std::vector<std::vector<SubMesh>> live;  // one entry per job: its pieces
+  const auto take = [&](const SubMesh& s, std::vector<SubMesh>& job) {
+    state.allocate(s);
+    idx.allocate(s);
+    job.push_back(s);
+  };
+
+  // A small block at a random spot, kept if free: scatters the busy nodes.
+  const auto scatter = [&] {
+    const SubMesh s = SubMesh::from_base(
+        Coord{static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 0, g.width() - 1)),
+              static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 0, g.length() - 1))},
+        static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 4)),
+        static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 3)));
+    live.emplace_back();
+    if (idx.is_free(s)) take(s, live.back());
+  };
+  while (idx.free_count() * 5 > g.nodes() * 3) scatter();
+
+  std::uint64_t bound_answers = 0;  // post-allocation answers without a sync
+  std::uint64_t synced_answers = 0;  // post-allocation answers after a sync
+  const std::int32_t side = std::min(12, g.length());
+  for (int step = 0; step < 300; ++step) {
+    const double u = procsim::des::sample_uniform(rng, 0.0, 1.0);
+    if (!live.empty() && (u < 0.3 || idx.free_count() * 2 < g.nodes())) {
+      const auto i = static_cast<std::size_t>(procsim::des::sample_uniform_int(
+          rng, 0, static_cast<std::int64_t>(live.size()) - 1));
+      for (const SubMesh& s : live[i]) {
+        state.release(s);
+        idx.release(s);
+      }
+      live[i] = std::move(live.back());
+      live.pop_back();
+      continue;
+    }
+    if (u < 0.5) {
+      scatter();
+      continue;
+    }
+    const auto a = static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, side));
+    const auto b = static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, side));
+    live.emplace_back();
+    const std::int64_t target = static_cast<std::int64_t>(a) * b;
+    if (idx.free_count() < target) continue;
+    std::int32_t cap_w = a;
+    std::int32_t cap_l = b;
+    std::int64_t held = 0;
+    while (held < target) {
+      const auto before = idx.query_stats();
+      const auto got = idx.largest_free(cap_w, cap_l);
+      const auto want = FreeSubmeshScan(state).largest_free(cap_w, cap_l);
+      ASSERT_EQ(got, want) << "step " << step << " caps=" << cap_w << "x" << cap_l;
+      ASSERT_TRUE(got.has_value());
+      if (held > 0) {
+        const auto& after = idx.query_stats();
+        if (after.frontier_passes == before.frontier_passes)
+          ++bound_answers;
+        else
+          ++synced_answers;
+      }
+      const SubMesh piece = trim_to_budget(*got, target - held);
+      take(piece, live.back());
+      held += piece.area();
+      cap_w = piece.width();
+      cap_l = piece.length();
+    }
+  }
+  const auto& qs = idx.query_stats();
+  EXPECT_GT(bound_answers, 0u);
+  EXPECT_GT(synced_answers, 0u);
+  EXPECT_EQ(qs.descent_queries, 0u);
+  EXPECT_EQ(qs.frontier_hits + qs.frontier_passes, qs.largest_free_queries);
+}
+
+INSTANTIATE_TEST_SUITE_P(Meshes, CarvingEquivalence,
+                         ::testing::Values(Geometry(128, 128), Geometry(511, 12),
+                                           Geometry(512, 12)),
+                         [](const ::testing::TestParamInfo<Geometry>& info) {
+                           return std::to_string(info.param.width()) + "x" +
+                                  std::to_string(info.param.length());
+                         });
 
 /// Hand-built fixtures pinning the documented largest_free preference order
 /// (README "Allocators & the occupancy index"): (1) maximum capped area,

@@ -8,6 +8,8 @@
 namespace {
 
 using procsim::des::Xoshiro256SS;
+using procsim::mesh::SubMesh;
+using procsim::network::block_node;
 using procsim::network::generate_message_plan;
 using procsim::network::IndexPair;
 using procsim::network::map_plan;
@@ -90,19 +92,39 @@ TEST(Traffic, PlanIsDeterministicPerSeed) {
 }
 
 TEST(Traffic, MapPlanBindsIndicesToNodes) {
+  // On a 10-wide mesh, block (0,1)-(0,1) holds node 10 and block
+  // (0,2)-(1,2) nodes 20 and 21: indices 0, 1, 2 bind 10, 20, 21.
+  const procsim::mesh::Geometry g(10, 4);
+  const std::vector<SubMesh> blocks{{0, 1, 0, 1}, {0, 2, 1, 2}};
   const std::vector<IndexPair> plan{{0, 2}, {2, 1}};
-  const std::vector<procsim::mesh::NodeId> nodes{10, 20, 30};
-  const auto traffic = map_plan(plan, nodes);
+  const auto traffic = map_plan(plan, blocks, g, 3);
   ASSERT_EQ(traffic.size(), 2u);
-  EXPECT_EQ(traffic[0], std::make_pair(10, 30));
-  EXPECT_EQ(traffic[1], std::make_pair(30, 20));
+  EXPECT_EQ(traffic[0], std::make_pair(10, 21));
+  EXPECT_EQ(traffic[1], std::make_pair(21, 20));
 }
 
 TEST(Traffic, MapPlanRejectsBadIndices) {
-  const std::vector<procsim::mesh::NodeId> nodes{10, 20};
-  EXPECT_THROW((void)map_plan(std::vector<IndexPair>{{0, 2}}, nodes), std::invalid_argument);
-  EXPECT_THROW((void)map_plan(std::vector<IndexPair>{{1, 1}}, nodes), std::invalid_argument);
-  EXPECT_THROW((void)map_plan(std::vector<IndexPair>{{-1, 0}}, nodes), std::invalid_argument);
+  // The blocks hold three nodes but the job computes on two: index 2 is
+  // out of range even though the blocks could resolve it.
+  const procsim::mesh::Geometry g(10, 4);
+  const std::vector<SubMesh> blocks{{0, 1, 2, 1}};
+  EXPECT_THROW((void)map_plan(std::vector<IndexPair>{{0, 2}}, blocks, g, 2),
+               std::invalid_argument);
+  EXPECT_THROW((void)map_plan(std::vector<IndexPair>{{1, 1}}, blocks, g, 2),
+               std::invalid_argument);
+  EXPECT_THROW((void)map_plan(std::vector<IndexPair>{{-1, 0}}, blocks, g, 2),
+               std::invalid_argument);
+}
+
+TEST(Traffic, BlockNodeWalksBlocksRowMajor) {
+  const procsim::mesh::Geometry g(8, 8);
+  const std::vector<SubMesh> blocks{{2, 3, 4, 4}, {7, 0, 7, 1}, {0, 7, 0, 7}};
+  const std::vector<procsim::mesh::NodeId> want{26, 27, 28, 34, 35, 36, 7, 15, 56};
+  for (std::int32_t i = 0; i < 9; ++i)
+    EXPECT_EQ(block_node(blocks, g, i), want[static_cast<std::size_t>(i)]) << "i=" << i;
+  EXPECT_THROW((void)block_node(blocks, g, 9), std::out_of_range);
+  EXPECT_THROW((void)block_node(blocks, g, -1), std::out_of_range);
+  EXPECT_THROW((void)block_node({}, g, 0), std::out_of_range);
 }
 
 TEST(Traffic, PatternNames) {
