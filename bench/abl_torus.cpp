@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace procsim;
-  const core::RunOptions opts = core::parse_run_options(argc, argv);
+  const core::RunOptions opts = core::run_options_or_exit(argc, argv);
 
   for (const bool torus : {false, true}) {
     core::FigureSpec spec;

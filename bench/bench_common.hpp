@@ -8,7 +8,8 @@
 // Common flags (parse_run_options): --fast (1 rep, 200 jobs), --jobs=N,
 // --reps=N, --seed=N, --threads=N (farm the independent figure cells across
 // N worker threads, 0 = all hardware threads; the CSV is byte-identical to
-// --threads=1 for the same seed).
+// --threads=1 for the same seed). An unknown flag or a malformed number
+// prints one line and exits 2.
 
 #include <iostream>
 #include <utility>
@@ -22,7 +23,7 @@ namespace procsim::bench {
 /// Shared main() body of the per-figure binaries: parse the common flags,
 /// sweep the figure, print the CSV (with 95 % CI columns) to stdout.
 inline int figure_main(int argc, char** argv, core::FigureSpec spec) {
-  const core::RunOptions opts = core::parse_run_options(argc, argv);
+  const core::RunOptions opts = core::run_options_or_exit(argc, argv);
   core::run_figure(spec, opts, std::cout, /*with_ci=*/true);
   return 0;
 }

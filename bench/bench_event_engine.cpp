@@ -121,9 +121,16 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
     } else if (std::strncmp(argv[i], "--check=", 8) == 0) {
-      check = std::strtod(argv[i] + 8, nullptr);
+      char* end = nullptr;
+      check = std::strtod(argv[i] + 8, &end);
+      if (end == argv[i] + 8 || *end != '\0') {
+        std::cerr << "bench_event_engine: malformed number in " << argv[i] << "\n";
+        return 2;
+      }
     } else {
-      std::cerr << "warning: unknown option " << argv[i] << "\n";
+      std::cerr << "bench_event_engine: unknown option " << argv[i]
+                << " (usage: bench_event_engine [--fast] [--out=PATH] [--check=K])\n";
+      return 2;
     }
   }
 

@@ -45,7 +45,9 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--swf=", 6) == 0) {
       swf_path = argv[i] + 6;
     } else {
-      std::cerr << "warning: unknown option " << argv[i] << "\n";
+      std::cerr << "bench_workload: unknown option " << argv[i]
+                << " (usage: bench_workload [--fast] [--out=PATH] [--swf=PATH])\n";
+      return 2;
     }
   }
 

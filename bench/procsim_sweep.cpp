@@ -17,7 +17,7 @@
 //                          util_spread|util_min|util_max|util_stddev|
 //                          migrations|migration_latency|stale_errors]
 //                 [--loads=0.005,0.01,...]
-//                 [--net=stepped|batched|verify|analytic]
+//                 [--net=batched|analytic]
 //                 [--fast] [--jobs=N] [--reps=N] [--seed=N] [--threads=N]
 //                 [--telemetry=PATH[;dt=X]] [--counters[=PATH]]
 //                 [--trace=PATH] [--job-records=PATH[.jsonl|.csv]]
@@ -42,8 +42,8 @@
 // Mesh sizes are accepted up to 4096x4096: node ids, sub-mesh areas, and
 // channel counts are computed in int32 and stay in range through 4096^2
 // (16,777,216 nodes; ~67M channels). 512x512 is the tested first-class scale
-// — it runs in the CI index-oracle smoke (with PROCSIM_INDEX_CROSS_CHECK=1)
-// and has gated rows in bench_alloc_scaling. Above 128x128 prefer --fast or
+// — it runs in the CI verify-mode smoke (PROCSIM_VERIFY=1) and has gated
+// rows in bench_alloc_scaling. Above 128x128 prefer --fast or
 // small --jobs/--reps: event counts grow with the node count, and the
 // saturation workload keeps the whole mesh busy.
 //
@@ -61,6 +61,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -100,8 +101,8 @@ std::vector<std::string> split_csv(const std::string& s) {
             << "         [--workload=uniform|exponential|real|swf:<path>|saturation|\n"
             << "                    bursty[;key=value...]]\n"
             << "         [--metric=M] [--loads=x[,x...]]\n"
-            << "         [--net=stepped|batched|verify|analytic] (network engine;\n"
-            << "           default: PROCSIM_NET_ENGINE or batched)\n"
+            << "         [--net=batched|analytic] (network model; default batched,\n"
+            << "           cycle-exact; PROCSIM_VERIFY=1 checks it against its oracle)\n"
             << "         [--fast] [--jobs=N] [--reps=N] [--seed=N] [--threads=N]\n"
             << "         [--telemetry=PATH[;dt=X]] [--counters[=PATH]]\n"
             << "         [--trace=PATH] [--job-records=PATH[.jsonl|.csv]]\n"
@@ -190,8 +191,13 @@ int main(int argc, char** argv) {
       passthrough.push_back(argv[i]);
     }
   }
-  const core::RunOptions opts =
-      core::parse_run_options(static_cast<int>(passthrough.size()), passthrough.data());
+  core::RunOptions opts;
+  try {
+    opts = core::parse_run_options(static_cast<int>(passthrough.size()),
+                                   passthrough.data());
+  } catch (const std::invalid_argument& e) {
+    usage_error(e.what());
+  }
 
   // --cluster conflict audit, before any parsing spends work. The
   // observability flags attach a single-mesh recorder/record-store to ONE

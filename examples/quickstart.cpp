@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace procsim;
 
-  const core::RunOptions opts = core::parse_run_options(argc, argv);
+  const core::RunOptions opts = core::run_options_or_exit(argc, argv);
 
   core::ExperimentConfig cfg;
   cfg.sys.geom = mesh::Geometry(16, 22);            // the paper's partition

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--sched needs at least one policy\n");
     return 1;
   }
-  const core::RunOptions opts = core::parse_run_options(
+  const core::RunOptions opts = core::run_options_or_exit(
       static_cast<int>(passthrough.size()), passthrough.data());
 
   core::ExperimentConfig cfg;

@@ -25,7 +25,7 @@ struct ClusterSimConfig {
   std::size_t warmup_completions{0};     ///< cluster-wide warmup threshold
   std::uint64_t seed{1};
   std::uint64_t max_events{2'000'000'000};
-  des::EventEngine event_engine{des::EventQueue::default_engine()};
+  des::EventEngine event_engine{des::EventEngine::kCalendar};
   obs::Recorder* recorder{nullptr};
   /// Allocator registry name used by meshes whose group carries none.
   std::string default_alloc{"GABL"};

@@ -7,6 +7,7 @@
 #include "obs/recorder.hpp"
 #include "sched/registry.hpp"
 #include "stats/parallel_replication.hpp"
+#include "util/verify.hpp"
 #include "workload/source_registry.hpp"
 #include "workload/swf.hpp"
 
@@ -146,11 +147,11 @@ RunMetrics run_once(const ExperimentConfig& cfg) {
   // observation-only (MetricsSink contract), so attaching the sink cannot
   // change a single simulated event.
   stats::JobMetrics job_metrics;
-  // --obs-probe: a per-replication fully-enabled recorder whose collected
-  // data is thrown away — runs the recorder contract on real figure work.
-  // Replication-local so concurrent grid cells never share recorder state.
+  // Verify mode: a throwaway fully-enabled recorder per replication runs the
+  // observation-only contract on real work. Replication-local so concurrent
+  // cells never share its state; a caller's own recorder stays in place.
   std::unique_ptr<obs::Recorder> probe;
-  if (cfg.obs_probe) {
+  if (util::verify_enabled() && cfg.sys.recorder == nullptr) {
     probe = std::make_unique<obs::Recorder>();
     probe->enable_trace();
     probe->enable_telemetry(100.0);

@@ -96,11 +96,6 @@ struct ExperimentConfig {
   /// whose group names none.
   std::optional<cluster::ClusterSpec> cluster;
   std::uint64_t seed{1};
-  /// Attach a throwaway fully-enabled obs::Recorder (trace + telemetry) to
-  /// every replication, discarding what it collects. Exists to *exercise*
-  /// the observation-only contract on real figure runs (--obs-probe): the
-  /// CSVs must come out byte-identical with this on.
-  bool obs_probe{false};
 
   [[nodiscard]] std::string series_label() const;
 };

@@ -97,7 +97,7 @@ void apply_experiment_spec(const ExperimentSpecStrings& axes,
     if (!cfg.workload.source_spec.empty())
       (void)workload::make_source(cfg.workload.source_spec, cfg.sys.geom);
   }
-  // parse_net_engine throws std::invalid_argument listing the engine names.
+  // parse_net_engine throws std::invalid_argument listing the model names.
   if (!axes.net.empty()) cfg.sys.net.engine = network::parse_net_engine(axes.net);
 }
 

@@ -1,6 +1,7 @@
 #include "core/figure_runner.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -9,8 +10,11 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 
 #include "util/thread_pool.hpp"
+#include "util/verify.hpp"
 
 namespace procsim::core {
 
@@ -27,28 +31,44 @@ std::vector<Series> paper_series() {
   return out;
 }
 
+namespace {
+
+/// The value of `--name=N` as a non-negative integer; throws on anything
+/// else ("", "abc", "-1", "12x", overflow).
+std::uint64_t parse_count(const char* arg, std::size_t prefix) {
+  const char* first = arg + prefix;
+  const char* last = first + std::strlen(first);
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (first == last || ec != std::errc{} || end != last)
+    throw std::invalid_argument(std::string("malformed number in ") + arg);
+  return value;
+}
+
+}  // namespace
+
 RunOptions parse_run_options(int argc, char** argv) {
+  // Surfaces a malformed PROCSIM_VERIFY on the main thread, before any work.
+  (void)util::verify_enabled();
   RunOptions opts;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--fast") == 0) {
       opts.fast = true;
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      opts.jobs = static_cast<std::size_t>(std::strtoull(arg + 7, nullptr, 10));
+      opts.jobs = static_cast<std::size_t>(parse_count(arg, 7));
     } else if (std::strncmp(arg, "--reps=", 7) == 0) {
-      opts.max_reps = std::strtoull(arg + 7, nullptr, 10);
+      opts.max_reps = parse_count(arg, 7);
       if (opts.min_reps > opts.max_reps) opts.min_reps = opts.max_reps;
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opts.seed = std::strtoull(arg + 7, nullptr, 10);
+      opts.seed = parse_count(arg, 7);
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      opts.threads = static_cast<std::size_t>(std::strtoull(arg + 10, nullptr, 10));
-    } else if (std::strcmp(arg, "--obs-probe") == 0) {
-      opts.obs_probe = true;
+      opts.threads = static_cast<std::size_t>(parse_count(arg, 10));
     } else if (std::strncmp(arg, "--benchmark", 11) == 0) {
       // Tolerate google-benchmark style flags so `for b in bench/*` harness
       // loops can pass uniform arguments.
     } else {
-      std::cerr << "warning: unknown option " << arg << "\n";
+      throw std::invalid_argument(std::string("unknown option ") + arg);
     }
   }
   if (opts.fast) {
@@ -62,8 +82,16 @@ RunOptions parse_run_options(int argc, char** argv) {
   return opts;
 }
 
+RunOptions run_options_or_exit(int argc, char** argv) {
+  try {
+    return parse_run_options(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << (argc > 0 ? argv[0] : "procsim") << ": " << e.what() << "\n";
+    std::exit(2);
+  }
+}
+
 void apply_effort(ExperimentConfig& cfg, const RunOptions& opts) {
-  cfg.obs_probe = opts.obs_probe;
   if (!cfg.workload.source_spec.empty()) {
     // Registry-spec workloads: job_count is the stream-length override the
     // source registry consumes (spec-pinned keys still win).

@@ -41,12 +41,15 @@ struct RunOptions {
   std::uint64_t seed{42};
   std::size_t threads{1};       ///< figure-cell workers; 0 = all hardware threads
   bool fast{false};             ///< shrink jobs/reps for smoke runs
-  /// Attach a throwaway fully-enabled obs::Recorder to every replication
-  /// (ExperimentConfig::obs_probe) — the CSV must not change by a byte.
-  bool obs_probe{false};
 };
 
+/// Parses the effort flags. Throws std::invalid_argument on an unknown flag
+/// (`--benchmark*` is tolerated) or a malformed number (`--threads=abc`).
 [[nodiscard]] RunOptions parse_run_options(int argc, char** argv);
+
+/// parse_run_options for a driver's main: a bad flag prints one line to
+/// stderr and exits with status 2.
+[[nodiscard]] RunOptions run_options_or_exit(int argc, char** argv);
 
 /// The generic experiment grid under run_figure and the sweep drivers: any
 /// row axis (loads, mesh sizes, ...) × any column axis (series), one

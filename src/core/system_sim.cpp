@@ -65,6 +65,7 @@ void SystemSim::begin_run() {
   completed_ = 0;
   seq_ = 0;
   measure_start_ = 0;
+  last_completion_ = 0;
   pass_pending_ = false;
   busy_procs_ = stats::TimeWeighted{};
   queue_len_ = stats::TimeWeighted{};
@@ -82,7 +83,10 @@ void SystemSim::begin_run() {
 
 void SystemSim::finalize_run(bool own_clock,
                              std::chrono::steady_clock::time_point wall_start) {
-  const double end = sim_->now();
+  // A drained run ends at its last completion: a telemetry sample scheduled
+  // before the drain may fire later, but observation is not model time.
+  const bool drained = own_clock && completed_ > 0 && arena_.active() == 0;
+  const double end = drained ? last_completion_ : sim_->now();
   metrics_.completed = completed_ >= cfg_.warmup_completions
                            ? completed_ - cfg_.warmup_completions
                            : 0;
@@ -368,6 +372,7 @@ void SystemSim::complete_job(JobArena::Slot slot) {
     if (sink_ != nullptr) sink_->on_job(rec);
   }
   ++completed_;
+  last_completion_ = now;
   if (completed_ == cfg_.warmup_completions) {
     // Steady state reached: restart the time-averaged windows.
     busy_procs_.reset_window(now);
@@ -403,7 +408,7 @@ void SystemSim::sample_telemetry() {
   // frontier cache, but caches are semantically transparent — every
   // subsequent query answers identically — so sampling stays observation-
   // only (the attached-vs-detached byte compare pins this).
-  const auto rect = index.largest_free(cfg_.geom.width(), cfg_.geom.length());
+  const auto rect = index.largest_free_unchecked(cfg_.geom.width(), cfg_.geom.length());
   s.largest_rect = rect ? rect->area() : 0;
   s.external_frag =
       s.free_nodes > 0

@@ -46,10 +46,9 @@ struct SystemConfig {
   /// Off by default so every figure reproduces its published bytes; the
   /// throughput paths (event-engine bench, nightly replay) opt in.
   bool coalesce_passes{false};
-  /// Event-queue engine for this run. Defaults to the process-wide choice
-  /// (PROCSIM_EVENT_ENGINE, calendar when unset); the engines are pop-order
-  /// identical, so this never changes results — only throughput.
-  des::EventEngine event_engine{des::EventQueue::default_engine()};
+  /// Event-queue engine for this run; the engines are pop-order identical,
+  /// so this never changes results — only throughput.
+  des::EventEngine event_engine{des::EventEngine::kCalendar};
   /// Observability attach point (null = off). Observation-only like the
   /// MetricsSink: attaching cannot change a simulated event, and every
   /// hot-path hook is a null-pointer check when detached (obs::Recorder).
@@ -240,6 +239,7 @@ class SystemSim {
   std::uint64_t completed_{0};
   std::uint64_t seq_{0};
   double measure_start_{0};
+  double last_completion_{0};  ///< where a drained run ends (finalize_run)
   bool pass_pending_{false};  ///< a coalesced scheduling pass is queued
 };
 

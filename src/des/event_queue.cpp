@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
+
+#include "util/verify.hpp"
 
 namespace procsim::des {
 
@@ -32,20 +32,10 @@ constexpr std::size_t kShrinkDivisor = 4;
 
 }  // namespace
 
-EventEngine EventQueue::default_engine() {
-  static const EventEngine parsed = [] {
-    const char* env = std::getenv("PROCSIM_EVENT_ENGINE");
-    if (env == nullptr || *env == '\0') return EventEngine::kCalendar;
-    if (std::strcmp(env, "calendar") == 0) return EventEngine::kCalendar;
-    if (std::strcmp(env, "heap") == 0) return EventEngine::kHeap;
-    if (std::strcmp(env, "verify") == 0) return EventEngine::kCrossCheck;
-    throw std::invalid_argument(
-        "PROCSIM_EVENT_ENGINE must be calendar, heap or verify");
-  }();
-  return parsed;
-}
-
-EventQueue::EventQueue(EventEngine engine) : engine_(engine) {
+EventQueue::EventQueue(EventEngine engine)
+    : engine_(engine == EventEngine::kCalendar && util::verify_enabled()
+                  ? EventEngine::kCrossCheck
+                  : engine) {
   if (engine_ != EventEngine::kHeap) buckets_.resize(kMinBuckets);
 }
 

@@ -17,14 +17,12 @@ namespace procsim::des {
 ///    equivalence oracle (the OccupancyIndex / FreeSubmeshScan pattern).
 ///  * kCrossCheck — runs the calendar queue with a shadow (time, seq) heap
 ///    and verifies every pop against it; throws std::logic_error on the
-///    first divergence. Opt-in, for tests and debugging.
+///    first divergence. Every kCalendar queue runs as kCrossCheck under
+///    PROCSIM_VERIFY=1 (util/verify.hpp).
 ///
 /// Both engines implement the identical contract — events leave in strict
 /// (time, insertion-sequence) order — so trajectories are bit-for-bit the
-/// same whichever engine runs. The default is kCalendar; the environment
-/// variable PROCSIM_EVENT_ENGINE (calendar | heap | verify) overrides it
-/// process-wide, which is how a driver binary is flipped onto the oracle
-/// without a rebuild.
+/// same whichever engine runs.
 enum class EventEngine { kCalendar, kHeap, kCrossCheck };
 
 /// Pending-event set of a discrete-event simulation, keyed by
@@ -32,9 +30,7 @@ enum class EventEngine { kCalendar, kHeap, kCrossCheck };
 /// identical seeds reproduce identical trajectories.
 class EventQueue {
  public:
-  /// Engine from PROCSIM_EVENT_ENGINE (default kCalendar).
-  EventQueue() : EventQueue(default_engine()) {}
-  explicit EventQueue(EventEngine engine);
+  explicit EventQueue(EventEngine engine = EventEngine::kCalendar);
 
   /// Schedules `action` to fire at absolute time `time`.
   void push(SimTime time, EventAction action);
@@ -56,10 +52,6 @@ class EventQueue {
   [[nodiscard]] std::uint64_t scheduled_count() const noexcept { return next_seq_; }
 
   [[nodiscard]] EventEngine engine() const noexcept { return engine_; }
-
-  /// The process-wide default: PROCSIM_EVENT_ENGINE if set (calendar | heap
-  /// | verify), else kCalendar. Parsed once.
-  [[nodiscard]] static EventEngine default_engine();
 
   // Calendar internals exposed read-only for tests/benchmarks.
   [[nodiscard]] std::size_t bucket_count() const noexcept { return buckets_.size(); }

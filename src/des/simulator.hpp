@@ -19,12 +19,9 @@ namespace procsim::des {
 /// independently testable against a bare Simulator.
 class Simulator {
  public:
-  /// Pending-event set backed by the process default engine (the
-  /// PROCSIM_EVENT_ENGINE environment variable, calendar when unset).
-  Simulator() = default;
-  /// Pins the event-queue engine for this kernel — how the benches compare
-  /// engines within one process.
-  explicit Simulator(EventEngine engine) : queue_(engine) {}
+  /// `engine` pins the event-queue engine for this kernel — how the benches
+  /// compare engines within one process.
+  explicit Simulator(EventEngine engine = EventEngine::kCalendar) : queue_(engine) {}
 
   /// Current simulation time.
   [[nodiscard]] SimTime now() const noexcept { return now_; }

@@ -17,7 +17,7 @@ namespace procsim::mesh {
 /// after any allocation — which is exactly why production queries now go
 /// through the incrementally maintained OccupancyIndex instead. This class
 /// stays as the reference oracle: its exhaustive scans are obviously
-/// correct, and the equivalence tests plus OccupancyIndex::set_cross_check
+/// correct, and the equivalence tests plus verify mode (PROCSIM_VERIFY=1)
 /// hold the index to its answers bit for bit.
 class FreeSubmeshScan {
  public:

@@ -1,23 +1,16 @@
 #include "mesh/occupancy_index.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 #include "mesh/free_submesh_scan.hpp"
 #include "mesh/mesh_state.hpp"
+#include "util/verify.hpp"
 
 namespace procsim::mesh {
 namespace {
-
-std::atomic<bool> g_cross_check{[] {
-  const char* env = std::getenv("PROCSIM_INDEX_CROSS_CHECK");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}()};
 
 /// Mask with bits [b1, b2] of a word set (0 <= b1 <= b2 <= 63).
 [[nodiscard]] constexpr std::uint64_t bit_range(int b1, int b2) noexcept {
@@ -49,25 +42,34 @@ void and_shr(std::uint64_t* r, std::size_t words, std::int32_t t) {
   return -1;  // unreachable by contract
 }
 
-[[noreturn]] void report_divergence(const char* query, std::int32_t a, std::int32_t b,
-                                    const std::optional<SubMesh>& got,
-                                    const std::optional<SubMesh>& want) {
-  throw std::logic_error(
-      std::string("OccupancyIndex cross-check: ") + query + "(" + std::to_string(a) +
-      "," + std::to_string(b) + ") diverged from FreeSubmeshScan: index=" +
-      (got ? got->to_string() : "nullopt") +
-      " oracle=" + (want ? want->to_string() : "nullopt"));
+/// The per-node MeshState of a free-bit map (busy where the bit is clear).
+MeshState snapshot(const Geometry& geom, const std::uint64_t* bits, std::size_t words) {
+  MeshState state(geom);
+  for (std::int32_t y = 0; y < geom.length(); ++y)
+    for (std::int32_t x = 0; x < geom.width(); ++x)
+      if ((bits[static_cast<std::size_t>(y) * words + static_cast<std::size_t>(x) / 64] &
+           (std::uint64_t{1} << (x % 64))) == 0)
+        state.allocate(geom.id(Coord{x, y}));
+  return state;
+}
+
+/// Verify mode: re-answers the query with the FreeSubmeshScan oracle and
+/// throws std::logic_error on any divergence.
+template <typename OracleAnswer>
+std::optional<SubMesh> verified(const char* query, std::int32_t a, std::int32_t b,
+                                const std::optional<SubMesh>& got, OracleAnswer oracle) {
+  if (!util::verify_enabled()) return got;
+  const std::optional<SubMesh> want = oracle();
+  if (got != want)
+    throw std::logic_error(
+        std::string("OccupancyIndex cross-check: ") + query + "(" + std::to_string(a) +
+        "," + std::to_string(b) + ") diverged from FreeSubmeshScan: index=" +
+        (got ? got->to_string() : "nullopt") +
+        " oracle=" + (want ? want->to_string() : "nullopt"));
+  return got;
 }
 
 }  // namespace
-
-void OccupancyIndex::set_cross_check(bool enabled) noexcept {
-  g_cross_check.store(enabled, std::memory_order_relaxed);
-}
-
-bool OccupancyIndex::cross_check_enabled() noexcept {
-  return g_cross_check.load(std::memory_order_relaxed);
-}
 
 OccupancyIndex::OccupancyIndex(Geometry geom)
     : geom_(geom),
@@ -581,9 +583,9 @@ std::pair<std::int32_t, std::int32_t> OccupancyIndex::frontier_winner(
   return {best_w, best_l};
 }
 
-std::optional<SubMesh> OccupancyIndex::largest_free_impl(std::int32_t max_w,
-                                                         std::int32_t max_l,
-                                                         std::int64_t max_area) const {
+std::optional<SubMesh> OccupancyIndex::largest_free_unchecked(
+    std::int32_t max_w, std::int32_t max_l, std::int64_t max_area) const {
+  ++qstats_.largest_free_queries;
   max_w = std::min(max_w, geom_.width());
   max_l = std::min(max_l, geom_.length());
   if (max_w <= 0 || max_l <= 0 || max_area <= 0) return std::nullopt;
@@ -611,13 +613,8 @@ std::optional<SubMesh> OccupancyIndex::largest_free_impl(std::int32_t max_w,
 
 std::optional<SubMesh> OccupancyIndex::first_fit(std::int32_t a, std::int32_t b) const {
   ++qstats_.first_fit_queries;
-  const auto got = first_fit_impl(free_.data(), a, b);
-  if (cross_check_enabled()) {
-    const FreeSubmeshScan oracle(to_mesh_state());
-    const auto want = oracle.first_fit(a, b);
-    if (got != want) report_divergence("first_fit", a, b, got, want);
-  }
-  return got;
+  return verified("first_fit", a, b, first_fit_impl(free_.data(), a, b),
+                  [&] { return FreeSubmeshScan(to_mesh_state()).first_fit(a, b); });
 }
 
 std::optional<SubMesh> OccupancyIndex::first_fit_assuming_free(
@@ -635,20 +632,9 @@ std::optional<SubMesh> OccupancyIndex::first_fit_assuming_free(
     }
   }
   const auto got = first_fit_impl(assume_.data(), a, b);
-  if (cross_check_enabled()) {
-    // Oracle on the same hypothetical occupancy, rebuilt per node.
-    MeshState state(geom_);
-    for (std::int32_t y = 0; y < geom_.length(); ++y)
-      for (std::int32_t x = 0; x < geom_.width(); ++x)
-        if ((assume_[static_cast<std::size_t>(y) * words_ +
-                     static_cast<std::size_t>(x) / 64] &
-             (std::uint64_t{1} << (x % 64))) == 0)
-          state.allocate(geom_.id(Coord{x, y}));
-    const FreeSubmeshScan oracle(state);
-    const auto want = oracle.first_fit(a, b);
-    if (got != want) report_divergence("first_fit_assuming_free", a, b, got, want);
-  }
-  return got;
+  return verified("first_fit_assuming_free", a, b, got, [&] {
+    return FreeSubmeshScan(snapshot(geom_, assume_.data(), words_)).first_fit(a, b);
+  });
 }
 
 std::optional<SubMesh> OccupancyIndex::first_fit_rotatable_assuming_free(
@@ -667,26 +653,17 @@ std::optional<SubMesh> OccupancyIndex::first_fit_rotatable(std::int32_t a,
 
 std::optional<SubMesh> OccupancyIndex::best_fit(std::int32_t a, std::int32_t b) const {
   ++qstats_.best_fit_queries;
-  const auto got = best_fit_impl(a, b);
-  if (cross_check_enabled()) {
-    const FreeSubmeshScan oracle(to_mesh_state());
-    const auto want = oracle.best_fit(a, b);
-    if (got != want) report_divergence("best_fit", a, b, got, want);
-  }
-  return got;
+  return verified("best_fit", a, b, best_fit_impl(a, b),
+                  [&] { return FreeSubmeshScan(to_mesh_state()).best_fit(a, b); });
 }
 
 std::optional<SubMesh> OccupancyIndex::largest_free(std::int32_t max_w,
                                                     std::int32_t max_l,
                                                     std::int64_t max_area) const {
-  ++qstats_.largest_free_queries;
-  const auto got = largest_free_impl(max_w, max_l, max_area);
-  if (cross_check_enabled()) {
-    const FreeSubmeshScan oracle(to_mesh_state());
-    const auto want = oracle.largest_free(max_w, max_l, max_area);
-    if (got != want) report_divergence("largest_free", max_w, max_l, got, want);
-  }
-  return got;
+  const auto got = largest_free_unchecked(max_w, max_l, max_area);
+  return verified("largest_free", max_w, max_l, got, [&] {
+    return FreeSubmeshScan(to_mesh_state()).largest_free(max_w, max_l, max_area);
+  });
 }
 
 std::int32_t OccupancyIndex::max_free_run() const {
@@ -697,11 +674,7 @@ std::int32_t OccupancyIndex::max_free_run() const {
 }
 
 MeshState OccupancyIndex::to_mesh_state() const {
-  MeshState state(geom_);
-  for (std::int32_t y = 0; y < geom_.length(); ++y)
-    for (std::int32_t x = 0; x < geom_.width(); ++x)
-      if (is_busy(Coord{x, y})) state.allocate(geom_.id(Coord{x, y}));
-  return state;
+  return snapshot(geom_, free_.data(), words_);
 }
 
 }  // namespace procsim::mesh

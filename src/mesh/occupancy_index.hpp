@@ -42,9 +42,11 @@ class MeshState;
 /// pays O(rows touched) not O(L).
 ///
 /// Every query reproduces FreeSubmeshScan's answer bit for bit — same scan
-/// order, same tie-breaking — which the randomized equivalence test and the
-/// opt-in cross-check oracle (set_cross_check) both enforce; the paper-scale
-/// figure CSVs are byte-identical either way.
+/// order, same tie-breaking — which the randomized equivalence test and
+/// verify mode both enforce: under PROCSIM_VERIFY=1 (util/verify.hpp) every
+/// fit query also runs FreeSubmeshScan on a reconstructed snapshot and throws
+/// std::logic_error on any divergence, restoring the O(W·L)-per-query cost
+/// the index exists to remove.
 ///
 /// Queries reuse internal scratch buffers (that reuse is part of the point:
 /// no per-query vector allocations), so one OccupancyIndex must not be
@@ -147,6 +149,11 @@ class OccupancyIndex {
   [[nodiscard]] std::optional<SubMesh> largest_free(
       std::int32_t max_w, std::int32_t max_l,
       std::int64_t max_area = std::numeric_limits<std::int64_t>::max()) const;
+  /// largest_free without the verify-mode oracle, for observers (telemetry):
+  /// their reads never feed the model, and the uncapped oracle is O((W·L)²).
+  [[nodiscard]] std::optional<SubMesh> largest_free_unchecked(
+      std::int32_t max_w, std::int32_t max_l,
+      std::int64_t max_area = std::numeric_limits<std::int64_t>::max()) const;
 
   /// Longest horizontal run of free nodes over all rows — a cheap
   /// fragmentation gauge (telemetry): reads the row summaries, recomputing
@@ -169,16 +176,6 @@ class OccupancyIndex {
 
   /// Reconstructs the equivalent per-node MeshState (oracle and diagnostics).
   [[nodiscard]] MeshState to_mesh_state() const;
-
-  /// Debug-mode oracle: when enabled, every fit query also runs the legacy
-  /// FreeSubmeshScan on a reconstructed snapshot and throws std::logic_error
-  /// on any divergence. Process-wide and off by default — it restores the
-  /// O(W·L)-per-query cost the index exists to remove. The initial value
-  /// honours the PROCSIM_INDEX_CROSS_CHECK environment variable (any value
-  /// other than empty or "0" enables it), so CI smokes can run whole sweeps
-  /// under the oracle without a code change.
-  static void set_cross_check(bool enabled) noexcept;
-  [[nodiscard]] static bool cross_check_enabled() noexcept;
 
  private:
   [[nodiscard]] const std::uint64_t* row(std::int32_t y) const {
@@ -206,9 +203,6 @@ class OccupancyIndex {
                                                       std::int32_t b) const;
   [[nodiscard]] std::optional<SubMesh> best_fit_impl(std::int32_t a,
                                                      std::int32_t b) const;
-  [[nodiscard]] std::optional<SubMesh> largest_free_impl(std::int32_t max_w,
-                                                         std::int32_t max_l,
-                                                         std::int64_t max_area) const;
 
   /// Validates the two summary levels (row flags + longest runs, per-block
   /// max runs), recomputing only rows whose generation stamp is stale.

@@ -1,11 +1,11 @@
 #include "network/wormhole_network.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 #include "obs/recorder.hpp"
+#include "util/verify.hpp"
 
 namespace procsim::network {
 
@@ -22,23 +22,11 @@ std::size_t run_len_bucket(std::int32_t n) noexcept {
 
 }  // namespace
 
-NetEngine default_net_engine() {
-  static const NetEngine parsed = [] {
-    const char* env = std::getenv("PROCSIM_NET_ENGINE");
-    if (env == nullptr || *env == '\0') return NetEngine::kBatched;
-    return parse_net_engine(env);
-  }();
-  return parsed;
-}
-
 NetEngine parse_net_engine(std::string_view name) {
-  if (name == "stepped") return NetEngine::kStepped;
   if (name == "batched") return NetEngine::kBatched;
-  if (name == "verify") return NetEngine::kVerify;
   if (name == "analytic") return NetEngine::kAnalytic;
-  throw std::invalid_argument(
-      "net engine must be stepped, batched, verify or analytic (got '" +
-      std::string(name) + "')");
+  throw std::invalid_argument("net engine must be batched or analytic (got '" +
+                              std::string(name) + "')");
 }
 
 const char* net_engine_name(NetEngine engine) noexcept {
@@ -54,6 +42,8 @@ const char* net_engine_name(NetEngine engine) noexcept {
 WormholeNetwork::WormholeNetwork(des::Simulator& sim, mesh::Geometry geom,
                                  NetworkParams params)
     : sim_(sim), map_(geom, params.torus), params_(params) {
+  if (params_.engine == NetEngine::kBatched && util::verify_enabled())
+    params_.engine = NetEngine::kVerify;
   if (params.st < 0 || params.packet_len < 1)
     throw std::invalid_argument("WormholeNetwork: bad parameters");
   const auto n_channels = static_cast<std::size_t>(map_.channel_count());
@@ -92,6 +82,8 @@ std::int32_t WormholeNetwork::alloc_packet(EngineState& st, mesh::NodeId src,
   // straggler event stamped for the previous occupant can never match.
   p.inject_time = sim_.now();
   p.attempt_time = 0;
+  p.anchor_time = p.inject_time;
+  p.anchor_idx = 0;
   p.blocked = 0;
   p.tag = tag;
   p.src = src;
@@ -113,13 +105,11 @@ void WormholeNetwork::inject(mesh::NodeId src, mesh::NodeId dst, std::uint64_t t
   register_attempt(*primary_, p, sim_.now());
   if (shadow_ != nullptr) {
     const std::int32_t s = alloc_packet(*shadow_, src, dst, tag);
+    shadow_->pool[static_cast<std::size_t>(s)].twin = p;
     register_attempt(*shadow_, s, sim_.now());
   }
 }
 
-// Inserts `pkt` into the channel's waiter FIFO keyed by (attempt_time, seq).
-// Insertion is at the tail except among same-instant attempts, so the walk
-// is O(1) in practice.
 namespace {
 struct FifoKey {
   double t;
@@ -134,6 +124,28 @@ void WormholeNetwork::register_attempt(EngineState& st, std::int32_t pkt, double
   Packet& p = st.pool[static_cast<std::size_t>(pkt)];
   p.attempt_time = t;
   p.fresh_block = true;
+  enqueue_waiter(st, pkt);
+  mark_dirty(st, p.path[static_cast<std::size_t>(p.next)]);
+  ensure_arbitration(st);
+}
+
+// The header reaches its next path channel at `when` and attempts it, unless
+// a truncation bumps the packet's run epoch first.
+void WormholeNetwork::schedule_attempt(EngineState& st, std::int32_t pkt, double when) {
+  const std::uint32_t e = st.pool[static_cast<std::size_t>(pkt)].run_epoch;
+  EngineState* sp = &st;
+  sim_.schedule_at(when, [this, sp, pkt, e] {
+    if (sp->pool[static_cast<std::size_t>(pkt)].run_epoch != e) return;
+    register_attempt(*sp, pkt, sim_.now());
+  });
+}
+
+// Inserts `pkt` into the waiter FIFO of its next path channel, keyed by
+// (attempt_time, seq). Insertion is at the tail except among same-instant
+// attempts, so the walk is O(1) in practice.
+void WormholeNetwork::enqueue_waiter(EngineState& st, std::int32_t pkt) {
+  Packet& p = st.pool[static_cast<std::size_t>(pkt)];
+  const double t = p.attempt_time;
   const ChannelId cid = p.path[static_cast<std::size_t>(p.next)];
   Channel& ch = st.channels[static_cast<std::size_t>(cid)];
   p.next_waiter = -1;
@@ -161,8 +173,6 @@ void WormholeNetwork::register_attempt(EngineState& st, std::int32_t pkt, double
       if (cur < 0) ch.wait_tail = pkt;
     }
   }
-  mark_dirty(st, cid);
-  ensure_arbitration(st);
 }
 
 void WormholeNetwork::mark_dirty(EngineState& st, ChannelId cid) {
@@ -170,7 +180,7 @@ void WormholeNetwork::mark_dirty(EngineState& st, ChannelId cid) {
   if (ch.dirty) return;
   ch.dirty = true;
   st.dirty.push_back(cid);
-  if (params_.engine == NetEngine::kVerify) st.touched.push_back(cid);
+  if (params_.engine == NetEngine::kVerify) verify_touched_.push_back(cid);
 }
 
 void WormholeNetwork::ensure_arbitration(EngineState& st) {
@@ -212,12 +222,7 @@ void WormholeNetwork::run_pass(EngineState& st) {
 void WormholeNetwork::arbitrate(EngineState& st, ChannelId cid, double t) {
   Channel& ch = st.channels[static_cast<std::size_t>(cid)];
   ch.dirty = false;
-  if (ch.holder >= 0 && ch.rel_time <= t) {  // lazy release
-    ch.holder = -1;
-    ch.acq_time = 0;
-    ch.rel_time = kNoRelease;
-    ch.reserved = false;
-  }
+  ch.release_if_due(t);
   if (ch.holder >= 0 && ch.wait_head >= 0 && ch.reserved && ch.acq_time >= t) {
     // The holder only reserved this channel (acquisition at or after now):
     // an attempt with a smaller canonical key arrived first and steals it.
@@ -249,21 +254,34 @@ void WormholeNetwork::arbitrate(EngineState& st, ChannelId cid, double t) {
     }
   }
   if (ch.holder >= 0 && ch.wait_head >= 0 && ch.rel_time != kNoRelease &&
-      !ch.grant_scheduled) {
-    ch.grant_scheduled = true;
-    const std::uint32_t e = ch.epoch;
-    EngineState* sp = &st;
-    sim_.schedule_at(ch.rel_time, [this, sp, cid, e] {
-      Channel& c = sp->channels[static_cast<std::size_t>(cid)];
-      if (c.epoch != e) return;
-      c.grant_scheduled = false;
-      mark_dirty(*sp, cid);
-      ensure_arbitration(*sp);
-    });
-  }
+      !ch.grant_scheduled)
+    schedule_grant(st, cid, ch.rel_time);
 }
 
+// When the header reaches path channel i if nothing stops it: whole cycles
+// counted from the packet's anchor. Injection times are continuous, so
+// summing 1 + st per hop and multiplying it out round differently; both
+// engines take every hop time from this one expression.
+double WormholeNetwork::hop_time(const Packet& p, std::int32_t i) const noexcept {
+  return p.anchor_time + static_cast<double>(static_cast<std::int64_t>(i - p.anchor_idx) *
+                                             (1 + params_.st));
+}
+
+// A batched run anchors at its grant, a stepped header only where it waited
+// (or at injection), so an unhindered stretch rounds once in both. A run cut
+// short without a wait can still round apart (README "Network"), so the
+// verify shadow takes the primary's anchor outright.
 void WormholeNetwork::grant(EngineState& st, std::int32_t pkt, double t) {
+  Packet& p = st.pool[static_cast<std::size_t>(pkt)];
+  const Packet* twin =
+      st.shadow ? &primary_->pool[static_cast<std::size_t>(p.twin)] : nullptr;
+  if (twin != nullptr && twin->next > p.next && twin->anchor_idx <= p.next) {
+    p.anchor_time = twin->anchor_time;  // the primary's run covers this hop
+    p.anchor_idx = twin->anchor_idx;
+  } else if (twin != nullptr || !st.stepped || t != p.attempt_time) {
+    p.anchor_time = t;
+    p.anchor_idx = p.next;
+  }
   if (st.stepped)
     step_acquire(st, pkt, t);
   else
@@ -275,96 +293,52 @@ void WormholeNetwork::grant(EngineState& st, std::int32_t pkt, double t) {
 void WormholeNetwork::step_acquire(EngineState& st, std::int32_t pkt, double t) {
   Packet& p = st.pool[static_cast<std::size_t>(pkt)];
   const std::int32_t i = p.next;
-  const ChannelId cid = p.path[static_cast<std::size_t>(i)];
-  Channel& ch = st.channels[static_cast<std::size_t>(cid)];
-  ch.holder = pkt;
-  ch.acq_time = t;
-  ch.rel_time = kNoRelease;
-  ch.reserved = false;
+  take(st, pkt, i, t, /*reserved=*/false);
   p.next = i + 1;
   p.res_end = i + 1;
-  // The worm spans at most P_len channels: acquiring channel i slides the
-  // tail out of channel i - P_len one cycle later.
-  if (i >= params_.packet_len)
-    set_release(st, p.path[static_cast<std::size_t>(i - params_.packet_len)], t + 1.0);
-  if (static_cast<std::size_t>(i) + 1 == p.path.size()) {
-    st.ejections.push_back({pkt, cid, p.run_epoch});  // flushed by this pass
-  } else {
-    const std::uint32_t e = p.run_epoch;
-    EngineState* sp = &st;
-    sim_.schedule_at(t + static_cast<double>(1 + params_.st), [this, sp, pkt, e] {
-      if (sp->pool[static_cast<std::size_t>(pkt)].run_epoch != e) return;
-      register_attempt(*sp, pkt, sim_.now());
-    });
-  }
+  if (static_cast<std::size_t>(i) + 1 == p.path.size())
+    st.ejections.push_back({pkt, p.path[static_cast<std::size_t>(i)], p.run_epoch});
+  else
+    schedule_attempt(st, pkt, hop_time(p, i + 1));
 }
 
 // Batched continuation: acquire the maximal run of currently-free consecutive
 // path channels in one shot. Channels past the first are reservations with
-// future acquisition times (t + k*(1+st)); worm-slide releases inside the run
+// future acquisition times (hop_time); worm-slide releases inside the run
 // are computed arithmetically. One event total: the virtual arrival at the
 // first non-free channel (or the ejection completion).
 void WormholeNetwork::start_run(EngineState& st, std::int32_t pkt, double t) {
   Packet& p = st.pool[static_cast<std::size_t>(pkt)];
   const auto len = static_cast<std::int32_t>(p.path.size());
   const std::int32_t first = p.next;
-  const std::int32_t plen = params_.packet_len;
-  const std::int64_t step = 1 + params_.st;
-  {
-    Channel& head = st.channels[static_cast<std::size_t>(p.path[static_cast<std::size_t>(first)])];
-    head.holder = pkt;
-    head.acq_time = t;
-    head.rel_time = kNoRelease;
-    head.reserved = false;
-  }
-  if (first >= plen)
-    set_release(st, p.path[static_cast<std::size_t>(first - plen)], t + 1.0);
-  if (params_.engine == NetEngine::kVerify)
-    st.touched.push_back(p.path[static_cast<std::size_t>(first)]);
+  take(st, pkt, first, t, /*reserved=*/false);
   std::int32_t j = first + 1;
   while (j < len) {
     Channel& ch = st.channels[static_cast<std::size_t>(p.path[static_cast<std::size_t>(j)])];
-    if (ch.holder >= 0 && ch.rel_time <= t) {  // lazy release
-      ch.holder = -1;
-      ch.acq_time = 0;
-      ch.rel_time = kNoRelease;
-      ch.reserved = false;
-    }
+    ch.release_if_due(t);
     if (ch.holder >= 0 || ch.wait_head >= 0) break;
-    const double vt = t + static_cast<double>(static_cast<std::int64_t>(j - first) * step);
-    ch.holder = pkt;
-    ch.acq_time = vt;
-    ch.rel_time = kNoRelease;
-    ch.reserved = true;
-    if (j >= plen)
-      set_release(st, p.path[static_cast<std::size_t>(j - plen)], vt + 1.0);
-    if (params_.engine == NetEngine::kVerify)
-      st.touched.push_back(p.path[static_cast<std::size_t>(j)]);
+    take(st, pkt, j, hop_time(p, j), /*reserved=*/true);
     ++j;
   }
   p.next = j;
   p.res_end = j;
   ++stats_.runs_batched;
   ++stats_.run_len_hist[run_len_bucket(j - first)];
+  if (j < len) {
+    schedule_attempt(st, pkt, hop_time(p, j));
+    return;
+  }
   const std::uint32_t e = p.run_epoch;
-  EngineState* sp = &st;
-  if (j == len) {
-    const ChannelId ej = p.path[static_cast<std::size_t>(len - 1)];
-    const double t_eject = st.channels[static_cast<std::size_t>(ej)].acq_time;
-    if (t_eject == t) {
-      st.ejections.push_back({pkt, ej, e});  // flushed by this pass
-    } else {
-      sim_.schedule_at(t_eject, [this, sp, pkt, e, ej] {
-        if (sp->pool[static_cast<std::size_t>(pkt)].run_epoch != e) return;
-        sp->ejections.push_back({pkt, ej, e});
-        ensure_arbitration(*sp);
-      });
-    }
+  const ChannelId ej = p.path[static_cast<std::size_t>(len - 1)];
+  const double t_eject = st.channels[static_cast<std::size_t>(ej)].acq_time;
+  if (t_eject == t) {
+    st.ejections.push_back({pkt, ej, e});  // flushed by this pass
   } else {
-    const double arrive = t + static_cast<double>(static_cast<std::int64_t>(j - first) * step);
-    sim_.schedule_at(arrive, [this, sp, pkt, e] {
+    EngineState* sp = &st;
+    sim_.schedule_at(t_eject, [this, sp, pkt, e, ej] {
       if (sp->pool[static_cast<std::size_t>(pkt)].run_epoch != e) return;
-      register_attempt(*sp, pkt, sim_.now());
+      sp->ejections.push_back({pkt, ej, e});
+      ensure_arbitration(*sp);
     });
   }
 }
@@ -383,10 +357,7 @@ void WormholeNetwork::truncate(EngineState& st, ChannelId cid, double t) {
   const double arrive = target.acq_time;
   for (std::int32_t m = cut; m < p.res_end; ++m) {
     Channel& ch = st.channels[static_cast<std::size_t>(p.path[static_cast<std::size_t>(m)])];
-    ch.holder = -1;
-    ch.acq_time = 0;
-    ch.rel_time = kNoRelease;
-    ch.reserved = false;
+    ch.clear_holder();
     ++ch.epoch;
     ch.grant_scheduled = false;
   }
@@ -408,51 +379,49 @@ void WormholeNetwork::truncate(EngineState& st, ChannelId cid, double t) {
     // Re-attempt right now: joins this very arbitration with its true key.
     p.attempt_time = t;
     p.fresh_block = true;
-    p.next_waiter = -1;
-    Channel& ch = target;
-    if (ch.wait_tail < 0) {
-      ch.wait_head = ch.wait_tail = victim;
-    } else {
-      std::int32_t prev = -1;
-      std::int32_t cur = ch.wait_head;
-      while (cur >= 0) {
-        const Packet& w = st.pool[static_cast<std::size_t>(cur)];
-        if (FifoKey{t, p.seq}.before(w.attempt_time, w.seq)) break;
-        prev = cur;
-        cur = w.next_waiter;
-      }
-      p.next_waiter = cur;
-      if (prev < 0)
-        ch.wait_head = victim;
-      else
-        st.pool[static_cast<std::size_t>(prev)].next_waiter = victim;
-      if (cur < 0) ch.wait_tail = victim;
-    }
+    enqueue_waiter(st, victim);
   } else {
-    const std::uint32_t e = p.run_epoch;
-    EngineState* sp = &st;
-    sim_.schedule_at(arrive, [this, sp, victim, e] {
-      if (sp->pool[static_cast<std::size_t>(victim)].run_epoch != e) return;
-      register_attempt(*sp, victim, sim_.now());
-    });
+    schedule_attempt(st, victim, arrive);
   }
+}
+
+// Path channel i of `pkt` becomes held from `when` (a reservation when that
+// lies ahead). The worm spans at most P_len channels, so taking channel i
+// slides the tail out of channel i - P_len one cycle later.
+void WormholeNetwork::take(EngineState& st, std::int32_t pkt, std::int32_t i, double when,
+                           bool reserved) {
+  const Packet& p = st.pool[static_cast<std::size_t>(pkt)];
+  const ChannelId cid = p.path[static_cast<std::size_t>(i)];
+  Channel& ch = st.channels[static_cast<std::size_t>(cid)];
+  ch.holder = pkt;
+  ch.acq_time = when;
+  ch.rel_time = kNoRelease;
+  ch.reserved = reserved;
+  if (i >= params_.packet_len)
+    set_release(st, p.path[static_cast<std::size_t>(i - params_.packet_len)], when + 1.0);
+  if (params_.engine == NetEngine::kVerify) verify_touched_.push_back(cid);
 }
 
 void WormholeNetwork::set_release(EngineState& st, ChannelId cid, double when) {
   Channel& ch = st.channels[static_cast<std::size_t>(cid)];
   ch.rel_time = when;
-  if (ch.wait_head >= 0 && !ch.grant_scheduled) {
-    ch.grant_scheduled = true;
-    const std::uint32_t e = ch.epoch;
-    EngineState* sp = &st;
-    sim_.schedule_at(when, [this, sp, cid, e] {
-      Channel& c = sp->channels[static_cast<std::size_t>(cid)];
-      if (c.epoch != e) return;
-      c.grant_scheduled = false;
-      mark_dirty(*sp, cid);
-      ensure_arbitration(*sp);
-    });
-  }
+  if (ch.wait_head >= 0 && !ch.grant_scheduled) schedule_grant(st, cid, when);
+}
+
+// Re-arbitrates the channel at `when`, its known release time, unless a
+// truncation bumps the channel's epoch first.
+void WormholeNetwork::schedule_grant(EngineState& st, ChannelId cid, double when) {
+  Channel& ch = st.channels[static_cast<std::size_t>(cid)];
+  ch.grant_scheduled = true;
+  const std::uint32_t e = ch.epoch;
+  EngineState* sp = &st;
+  sim_.schedule_at(when, [this, sp, cid, e] {
+    Channel& c = sp->channels[static_cast<std::size_t>(cid)];
+    if (c.epoch != e) return;
+    c.grant_scheduled = false;
+    mark_dirty(*sp, cid);
+    ensure_arbitration(*sp);
+  });
 }
 
 void WormholeNetwork::complete(EngineState& st, std::int32_t pkt, double t_eject) {
@@ -470,37 +439,27 @@ void WormholeNetwork::complete(EngineState& st, std::int32_t pkt, double t_eject
 }
 
 void WormholeNetwork::deliver(EngineState& st, std::int32_t pkt) {
-  Packet& p = st.pool[static_cast<std::size_t>(pkt)];
-  Delivery d;
-  d.tag = p.tag;
-  d.src = p.src;
-  d.dst = p.dst;
-  d.latency = sim_.now() - p.inject_time;
-  d.blocked = p.blocked;
-  d.hops = static_cast<std::int32_t>(p.path.size()) - 2;
-  const std::uint64_t id = p.seq;
-  if (st.shadow) {
-    verify_match(id, VerifyRec{sim_.now(), d.latency, d.blocked, d.hops, true});
-    recycle(st, pkt);
-    return;
-  }
+  const Packet& p = st.pool[static_cast<std::size_t>(pkt)];
+  const Delivery d{p.tag, p.src, p.dst, sim_.now() - p.inject_time, p.blocked,
+                   static_cast<std::int32_t>(p.path.size()) - 2};
+  if (params_.engine == NetEngine::kVerify)
+    verify_match(p.seq, VerifyRec{sim_.now(), d.latency, d.blocked, d.hops, st.shadow});
+  // Recycled before the sink runs, which may inject into the freed slot.
+  st.pool[static_cast<std::size_t>(pkt)].path.clear();
+  st.free_pool.push_back(pkt);
+  if (!st.shadow) publish(d);
+}
+
+void WormholeNetwork::publish(const Delivery& d) {
   metrics_.latency.add(d.latency);
   metrics_.blocking.add(d.blocked);
   metrics_.hops.add(static_cast<double>(d.hops));
   ++metrics_.delivered;
-  if (params_.engine == NetEngine::kVerify)
-    verify_match(id, VerifyRec{sim_.now(), d.latency, d.blocked, d.hops, false});
   if (rec_ != nullptr)
     rec_->packet_deliver(sim_.now(), d.tag, static_cast<std::int32_t>(d.src),
                          static_cast<std::int32_t>(d.dst), d.hops, d.latency,
                          d.blocked);
-  recycle(st, pkt);
   if (sink_ != nullptr) sink_(sink_ctx_, d);
-}
-
-void WormholeNetwork::recycle(EngineState& st, std::int32_t pkt) {
-  st.pool[static_cast<std::size_t>(pkt)].path.clear();
-  st.free_pool.push_back(pkt);
 }
 
 // Analytic fast mode: one event per packet. Latency is the contention-free
@@ -529,26 +488,8 @@ void WormholeNetwork::inject_analytic(mesh::NodeId src, mesh::NodeId dst,
   for (const ChannelId cid : path)
     busy_cycles_[static_cast<std::size_t>(cid)] += service;
   const double latency = static_cast<double>(base_latency_cycles(hops)) + wait;
-  sim_.schedule_at(sim_.now() + latency,
-                   [this, tag, src, dst, latency, wait, hops] {
-                     Delivery d;
-                     d.tag = tag;
-                     d.src = src;
-                     d.dst = dst;
-                     d.latency = latency;
-                     d.blocked = wait;
-                     d.hops = hops;
-                     metrics_.latency.add(d.latency);
-                     metrics_.blocking.add(d.blocked);
-                     metrics_.hops.add(static_cast<double>(d.hops));
-                     ++metrics_.delivered;
-                     if (rec_ != nullptr)
-                       rec_->packet_deliver(sim_.now(), d.tag,
-                                            static_cast<std::int32_t>(d.src),
-                                            static_cast<std::int32_t>(d.dst),
-                                            d.hops, d.latency, d.blocked);
-                     if (sink_ != nullptr) sink_(sink_ctx_, d);
-                   });
+  const Delivery d{tag, src, dst, latency, wait, hops};
+  sim_.schedule_at(sim_.now() + latency, [this, d] { publish(d); });
 }
 
 void WormholeNetwork::verify_match(std::uint64_t id, const VerifyRec& rec) {
@@ -580,11 +521,7 @@ void WormholeNetwork::verify_match(std::uint64_t id, const VerifyRec& rec) {
 void WormholeNetwork::verify_compare_states() {
   const double t = sim_.now();
   std::vector<ChannelId> all;
-  all.reserve(primary_->touched.size() + shadow_->touched.size());
-  all.insert(all.end(), primary_->touched.begin(), primary_->touched.end());
-  all.insert(all.end(), shadow_->touched.begin(), shadow_->touched.end());
-  primary_->touched.clear();
-  shadow_->touched.clear();
+  all.swap(verify_touched_);
   std::sort(all.begin(), all.end());
   all.erase(std::unique(all.begin(), all.end()), all.end());
   const auto eff = [t](const EngineState& st, const Channel& c) -> std::int64_t {
@@ -629,7 +566,6 @@ void WormholeNetwork::reset_state(EngineState& st) {
   st.free_pool.clear();
   st.dirty.clear();
   st.ejections.clear();
-  st.touched.clear();
   st.next_seq = 0;
   st.arb_time = -1.0;
 }
@@ -642,6 +578,7 @@ void WormholeNetwork::reset() {
   if (primary_ != nullptr) reset_state(*primary_);
   if (shadow_ != nullptr) reset_state(*shadow_);
   std::fill(busy_cycles_.begin(), busy_cycles_.end(), 0.0);
+  verify_touched_.clear();
   verify_cmp_armed_ = false;
   metrics_.reset();
   stats_.reset();

@@ -31,18 +31,17 @@ namespace procsim::network {
 ///    kStepped (both engines share one canonical arbitration core).
 ///  * kVerify   — runs kBatched as primary and kStepped as an in-process
 ///    shadow, lock-step cross-checking per-packet deliveries and per-channel
-///    holder/waiter state every network-active timestamp.
+///    holder/waiter state every network-active timestamp. A kBatched network
+///    runs as kVerify under PROCSIM_VERIFY=1 (util/verify.hpp).
 ///  * kAnalytic — contention-free base latency plus an M/M/1-style
 ///    per-channel utilization waiting term accumulated over the XY path.
 ///    One event per packet; trend-accurate, never byte-compared to the
 ///    cycle model (tolerance-banded in tests).
 enum class NetEngine : std::uint8_t { kStepped, kBatched, kVerify, kAnalytic };
 
-/// The process-wide default: PROCSIM_NET_ENGINE if set
-/// (stepped | batched | verify | analytic), else kBatched. Parsed once.
-[[nodiscard]] NetEngine default_net_engine();
-
-/// Registry of engine modes (used by `procsim_sweep --net=`).
+/// The user-facing network models, `batched` (cycle-exact) and `analytic`
+/// (used by `procsim_sweep --net=` and the `net=` sweep axis). kStepped and
+/// kVerify are oracles: tests and benches construct them directly.
 [[nodiscard]] NetEngine parse_net_engine(std::string_view name);
 [[nodiscard]] const char* net_engine_name(NetEngine engine) noexcept;
 
@@ -53,7 +52,7 @@ struct NetworkParams {
   std::int32_t st{3};
   std::int32_t packet_len{8};
   bool torus{false};
-  NetEngine engine{default_net_engine()};
+  NetEngine engine{NetEngine::kBatched};
 };
 
 /// Completed-delivery record passed to the delivery sink.
@@ -150,8 +149,7 @@ class WormholeNetwork {
   /// Contention-free latency of one packet over `hops` mesh links, in whole
   /// cycles: every channel (injection, links, ejection) costs 1 cycle plus
   /// `st` routing before the next, and the tail drains P_len - 1 cycles
-  /// behind the header. All cycle arithmetic in the engines routes through
-  /// this integer form; simulation times are exact integers in double.
+  /// behind the header.
   [[nodiscard]] std::int64_t base_latency_cycles(std::int32_t hops) const noexcept {
     return (static_cast<std::int64_t>(hops) + 1) * (1 + params_.st) + params_.packet_len;
   }
@@ -190,6 +188,17 @@ class WormholeNetwork {
                                   // reservations can be truncated
     bool grant_scheduled{false};  // a grant event targets rel_time
     bool dirty{false};            // queued for arbitration this timestamp
+
+    void clear_holder() noexcept {
+      holder = -1;
+      acq_time = 0;
+      rel_time = kNoRelease;
+      reserved = false;
+    }
+    /// Lazy release: the holder's known release time has passed.
+    void release_if_due(double t) noexcept {
+      if (holder >= 0 && rel_time <= t) clear_holder();
+    }
   };
 
   struct Packet {
@@ -201,6 +210,9 @@ class WormholeNetwork {
     std::uint32_t run_epoch{0};    // cancels stale arrival/run-end events
     double inject_time{0};
     double attempt_time{0};        // when the pending attempt was made
+    double anchor_time{0};         // see hop_time()
+    std::int32_t anchor_idx{0};
+    std::int32_t twin{-1};         // verify shadow: the primary's pool index
     double blocked{0};
     std::uint64_t tag{0};
     mesh::NodeId src{0};
@@ -224,7 +236,6 @@ class WormholeNetwork {
     std::vector<std::int32_t> free_pool;
     std::vector<ChannelId> dirty;      // channels awaiting arbitration
     std::vector<Ejection> ejections;   // completions this timestamp
-    std::vector<ChannelId> touched;    // verify: channels to cross-check
     std::uint64_t next_seq{0};
     double arb_time{-1.0};  // timestamp with a scheduled arbitration event
   };
@@ -240,18 +251,25 @@ class WormholeNetwork {
   [[nodiscard]] std::int32_t alloc_packet(EngineState& st, mesh::NodeId src,
                                           mesh::NodeId dst, std::uint64_t tag);
   void register_attempt(EngineState& st, std::int32_t pkt, double t);
+  void enqueue_waiter(EngineState& st, std::int32_t pkt);
+  void schedule_attempt(EngineState& st, std::int32_t pkt, double when);
   void ensure_arbitration(EngineState& st);
   void mark_dirty(EngineState& st, ChannelId ch);
   void run_pass(EngineState& st);
   void arbitrate(EngineState& st, ChannelId ch, double t);
+  [[nodiscard]] double hop_time(const Packet& p, std::int32_t i) const noexcept;
   void grant(EngineState& st, std::int32_t pkt, double t);
   void step_acquire(EngineState& st, std::int32_t pkt, double t);
   void start_run(EngineState& st, std::int32_t pkt, double t);
   void truncate(EngineState& st, ChannelId ch, double t);
+  void take(EngineState& st, std::int32_t pkt, std::int32_t i, double when,
+            bool reserved);
   void set_release(EngineState& st, ChannelId ch, double when);
+  void schedule_grant(EngineState& st, ChannelId ch, double when);
   void complete(EngineState& st, std::int32_t pkt, double t_eject);
   void deliver(EngineState& st, std::int32_t pkt);
-  void recycle(EngineState& st, std::int32_t pkt);
+  /// Accounts one delivery and hands it to the recorder and the sink.
+  void publish(const Delivery& d);
   void inject_analytic(mesh::NodeId src, mesh::NodeId dst, std::uint64_t tag);
   void verify_match(std::uint64_t id, const VerifyRec& rec);
   void verify_compare_states();
@@ -266,6 +284,7 @@ class WormholeNetwork {
   std::unique_ptr<EngineState> shadow_;  // kVerify only
   std::vector<double> busy_cycles_;      // kAnalytic per-channel utilization
   std::unordered_map<std::uint64_t, VerifyRec> verify_pending_;
+  std::vector<ChannelId> verify_touched_;  // channels to cross-check next
   bool verify_cmp_armed_{false};
   DeliverySink sink_{nullptr};
   void* sink_ctx_{nullptr};

@@ -202,7 +202,7 @@ TEST(ExperimentSpec, AppliesEveryAxis) {
   axes.alloc = "mbs";
   axes.sched = "ssd";
   axes.workload = "bursty;b=8";
-  axes.net = "stepped";
+  axes.net = "analytic";
   const core::ExperimentConfig cfg = core::parse_experiment_spec(axes);
   ASSERT_TRUE(cfg.cluster.has_value());
   EXPECT_EQ(cfg.cluster->size(), 4u);
@@ -211,7 +211,7 @@ TEST(ExperimentSpec, AppliesEveryAxis) {
   EXPECT_EQ(cfg.scheduler.canonical, "SSD");
   EXPECT_FALSE(cfg.workload.source_spec.empty());
   EXPECT_EQ(cfg.workload.job_count, 0u);  // registry stream defaults
-  EXPECT_STREQ(network::net_engine_name(cfg.sys.net.engine), "stepped");
+  EXPECT_STREQ(network::net_engine_name(cfg.sys.net.engine), "analytic");
 }
 
 TEST(ExperimentSpec, BareFiguresKeepTemplatePath) {

@@ -13,6 +13,7 @@
 #include "des/event_queue.hpp"
 #include "des/rng.hpp"
 #include "des/simulator.hpp"
+#include "verify_scope.hpp"
 
 namespace {
 
@@ -209,9 +210,16 @@ TEST(CalendarQueue, CrossCheckModeAgreesOnRandomSchedule) {
 }
 
 TEST(CalendarQueue, DefaultEngineIsCalendar) {
-  // The suite runs without PROCSIM_EVENT_ENGINE set; guard the default.
+  const procsim::testing::VerifyScope off(false);
   EventQueue q;
-  EXPECT_EQ(q.engine(), EventQueue::default_engine());
+  EXPECT_EQ(q.engine(), EventEngine::kCalendar);
+}
+
+TEST(CalendarQueue, VerifyModeUpgradesOnlyTheCalendar) {
+  const procsim::testing::VerifyScope on(true);
+  EXPECT_EQ(EventQueue().engine(), EventEngine::kCrossCheck);
+  EXPECT_EQ(EventQueue(EventEngine::kCalendar).engine(), EventEngine::kCrossCheck);
+  EXPECT_EQ(EventQueue(EventEngine::kHeap).engine(), EventEngine::kHeap);
 }
 
 TEST(CalendarQueue, SimulatorRunsBitIdenticallyOnBothEngines) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "alloc/registry.hpp"
 #include "core/experiment.hpp"
@@ -173,6 +174,18 @@ TEST(FigureRunner, ParseRunOptions) {
   EXPECT_EQ(opts.jobs, 123u);
   EXPECT_EQ(opts.seed, 9u);
   EXPECT_EQ(opts.max_reps, 1u);  // fast forces single rep
+}
+
+TEST(FigureRunner, ParseRunOptionsRejectsBadFlags) {
+  const auto parse = [](const char* flag) {
+    const char* argv[] = {"bench", flag};
+    return procsim::core::parse_run_options(2, const_cast<char**>(argv));
+  };
+  for (const char* bad : {"--fats", "--verify", "--help", "--threads=abc",
+                          "--threads=", "--jobs=-1", "--reps=2x", "--seed=1e3"})
+    EXPECT_THROW((void)parse(bad), std::invalid_argument) << bad;
+  EXPECT_EQ(parse("--threads=0").threads, 0u);  // 0 = all hardware threads
+  (void)parse("--benchmark_min_time=0.01");      // harness loops stay tolerated
 }
 
 TEST(FigureRunner, UnknownMetricThrows) {

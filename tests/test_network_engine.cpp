@@ -17,6 +17,7 @@
 #include "mesh/coord.hpp"
 #include "network/routing.hpp"
 #include "network/wormhole_network.hpp"
+#include "verify_scope.hpp"
 
 namespace {
 
@@ -249,6 +250,38 @@ TEST(VerifyMode, LockStepRunsCleanUnderChurn) {
   EXPECT_GT(r.runs_batched, 0u);
 }
 
+// ------------------------------------------- continuous injection times
+
+// SystemSim injects at continuous arrival times, not integers. Hop times
+// summed per hop (t0 + 4 + 4 + ...) and multiplied out (t0 + k*4) round
+// differently once a long path carries the time across a few powers of two;
+// an unhindered header must get the same doubles from both engines.
+TEST(ContinuousTime, LonePacketOnLongPathAgrees) {
+  const Geometry geom(64, 64);
+  const Geometry& g = geom;
+  std::vector<Injection> schedule;
+  schedule.push_back({1.0 / 3.0, g.id(Coord{0, 0}), g.id(Coord{63, 63}), 1});
+  expect_engines_agree(schedule, geom, NetworkParams{3, 8, false});
+}
+
+TEST(ContinuousTime, VerifyShadowTakesThePrimaryAnchors) {
+  // Packet 0's batched run stops short where packet 1's worm holds its
+  // path and resumes without a wait; across that stretch the standalone
+  // engines round one ulp apart (latency 164 vs 164.00000000000003). The
+  // verify shadow takes the primary's anchors, so it runs clean and
+  // delivers the batched bytes.
+  const Geometry geom(30, 47);
+  const Geometry& g = geom;
+  std::vector<Injection> schedule;
+  schedule.push_back({74.0 / 3.0, g.id(Coord{12, 39}), g.id(Coord{27, 16}), 0});
+  schedule.push_back({73.0 / 3.0, g.id(Coord{1, 41}), g.id(Coord{27, 31}), 1});
+  const RunResult batched =
+      run_schedule(schedule, geom, NetworkParams{3, 8, false, NetEngine::kBatched});
+  const RunResult verify =
+      run_schedule(schedule, geom, NetworkParams{3, 8, false, NetEngine::kVerify});
+  EXPECT_EQ(batched.deliveries, verify.deliveries);
+}
+
 // ------------------------------------------------------- analytic band
 
 TEST(AnalyticMode, ContentionFreeMatchesBaseLatencyExactly) {
@@ -352,11 +385,24 @@ TEST(CycleArithmetic, DegenerateParamsDeliverExactly) {
 TEST(EngineRegistry, ParseAndNameRoundTrip) {
   using procsim::network::net_engine_name;
   using procsim::network::parse_net_engine;
-  for (const auto engine : {NetEngine::kStepped, NetEngine::kBatched,
-                            NetEngine::kVerify, NetEngine::kAnalytic}) {
+  // Only the two models parse; the oracles are named but not selectable.
+  for (const auto engine : {NetEngine::kBatched, NetEngine::kAnalytic})
     EXPECT_EQ(parse_net_engine(net_engine_name(engine)), engine);
-  }
+  for (const auto engine : {NetEngine::kStepped, NetEngine::kVerify})
+    EXPECT_THROW((void)parse_net_engine(net_engine_name(engine)), std::invalid_argument);
   EXPECT_THROW((void)parse_net_engine("flooded"), std::invalid_argument);
+}
+
+TEST(EngineRegistry, VerifyModeUpgradesOnlyBatched) {
+  const procsim::testing::VerifyScope on(true);
+  Simulator sim;
+  const Geometry geom(4, 4);
+  EXPECT_EQ(WormholeNetwork(sim, geom, NetworkParams{}).engine(), NetEngine::kVerify);
+  for (const auto engine : {NetEngine::kStepped, NetEngine::kAnalytic}) {
+    NetworkParams p;
+    p.engine = engine;
+    EXPECT_EQ(WormholeNetwork(sim, geom, p).engine(), engine);
+  }
 }
 
 TEST(EngineRegistry, BatchedRunsAreCounted) {

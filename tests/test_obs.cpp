@@ -21,6 +21,7 @@
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "sched/registry.hpp"
+#include "verify_scope.hpp"
 
 namespace {
 
@@ -258,15 +259,23 @@ TEST(RecorderT, HooksTallyAndTraceIsOptIn) {
 
 // ------------------------------------------------------------- invariance --
 
-TEST(Invariance, ObsProbeLeavesObservationsBitIdentical) {
-  ExperimentConfig cfg = small_config();
-  const std::map<std::string, double> detached = to_observations(run_once(cfg));
-  cfg.obs_probe = true;
-  const std::map<std::string, double> probed = to_observations(run_once(cfg));
-  EXPECT_EQ(detached, probed);  // bitwise: operator== on doubles
+TEST(Invariance, VerifyModeLeavesObservationsBitIdentical) {
+  // Verify mode attaches a throwaway trace + telemetry recorder to run_once
+  // on top of every engine oracle; none of it may move a bit.
+  const ExperimentConfig cfg = small_config();
+  std::map<std::string, double> plain;
+  {
+    const procsim::testing::VerifyScope off(false);
+    plain = to_observations(run_once(cfg));
+  }
+  const procsim::testing::VerifyScope on(true);
+  EXPECT_EQ(plain, to_observations(run_once(cfg)));  // bitwise on doubles
 }
 
 TEST(Invariance, TraceOnlyRecorderLeavesEveryMetricIdentical) {
+  // run_once would attach verify mode's telemetry probe, whose sampling
+  // events the trace-only run does not have.
+  const procsim::testing::VerifyScope plain(false);
   const ExperimentConfig cfg = small_config(11);
   const RunMetrics off = run_once(cfg);
 
@@ -311,6 +320,28 @@ TEST(Invariance, TelemetryChangesOnlyTheEventCount) {
     EXPECT_LE(s.external_frag, 1.0);
     EXPECT_EQ(s.busy_nodes + s.free_nodes, 16 * 22);
   }
+}
+
+TEST(Invariance, TelemetryOnDrainedRunStopsAtTheLastCompletion) {
+  // A saturated run that ends by draining: the sample scheduled while the
+  // last jobs ran fires after the final completion. It must not stretch
+  // the makespan or dilute the time averages.
+  ExperimentConfig cfg = small_config(19);
+  cfg.workload.stochastic.load = 0.1;
+  cfg.workload.job_count = 60;
+  cfg.sys.target_completions = 0;  // run every job to completion
+  const RunMetrics off = run_probed(cfg, nullptr, nullptr);
+
+  Recorder rec;
+  rec.enable_telemetry(100.0);
+  const RunMetrics on = run_probed(cfg, &rec, nullptr);
+
+  EXPECT_EQ(off.completed, 60u);
+  EXPECT_EQ(off.makespan, on.makespan);  // bitwise
+  EXPECT_EQ(off.utilization, on.utilization);
+  EXPECT_EQ(off.mean_queue_length, on.mean_queue_length);
+  ASSERT_NE(rec.sampler(), nullptr);
+  EXPECT_GT(rec.sampler()->sample(rec.sampler()->size() - 1).t, off.makespan);
 }
 
 // ------------------------------------------------------------- accounting --

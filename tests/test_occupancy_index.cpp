@@ -9,6 +9,7 @@
 #include "mesh/free_submesh_scan.hpp"
 #include "mesh/mesh_state.hpp"
 #include "mesh/occupancy_index.hpp"
+#include "verify_scope.hpp"
 
 namespace {
 
@@ -457,14 +458,11 @@ TEST(OccupancyIndex, AssumingFreeWithNoExtrasEqualsPlainFirstFit) {
             (procsim::mesh::Coord{0, 0}));
 }
 
-/// The opt-in oracle mode: allocator-driven churn with cross-checking on
-/// must never diverge (and must restore the flag afterwards).
+/// Verify mode cross-checks every index query against FreeSubmeshScan:
+/// allocator-driven churn under it must never diverge.
 TEST(OccupancyIndex, CrossCheckModeCleanOnAllocatorChurn) {
-  struct Guard {
-    ~Guard() { OccupancyIndex::set_cross_check(false); }
-  } guard;
-  OccupancyIndex::set_cross_check(true);
-  ASSERT_TRUE(OccupancyIndex::cross_check_enabled());
+  const procsim::testing::VerifyScope on(true);
+  ASSERT_TRUE(procsim::util::verify_enabled());
 
   procsim::des::Xoshiro256SS rng(7);
   for (const std::string name : {"FirstFit", "BestFit", "GABL"}) {
@@ -485,10 +483,6 @@ TEST(OccupancyIndex, CrossCheckModeCleanOnAllocatorChurn) {
       }
     }
   }
-}
-
-TEST(OccupancyIndex, CrossCheckDefaultsOff) {
-  EXPECT_FALSE(OccupancyIndex::cross_check_enabled());
 }
 
 }  // namespace

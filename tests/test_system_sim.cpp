@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "alloc/gabl.hpp"
@@ -14,6 +15,7 @@
 #include "core/system_sim.hpp"
 #include "sched/ordered_scheduler.hpp"
 #include "workload/stochastic.hpp"
+#include "verify_scope.hpp"
 
 namespace {
 
@@ -394,6 +396,46 @@ TEST(SystemSim, AllProcessorsReleasedAtEnd) {
   const RunMetrics m = sim.run(jobs);
   EXPECT_EQ(m.completed, 100u);
   EXPECT_EQ(alloc.free_processors(), 64);  // everything returned
+}
+
+// ------------------------------------------------------------ verify mode
+
+TEST(VerifySwitch, ParsesOnlyZeroAndOne) {
+  using procsim::util::parse_verify;
+  EXPECT_FALSE(parse_verify(nullptr));  // unset
+  EXPECT_FALSE(parse_verify(""));
+  EXPECT_FALSE(parse_verify("0"));
+  EXPECT_TRUE(parse_verify("1"));
+  for (const char* bad : {"yes", "true", "2", "01", " 1", "verify"})
+    EXPECT_THROW((void)parse_verify(bad), std::invalid_argument) << bad;
+}
+
+TEST(VerifySwitch, DefaultSystemSimRunsEveryOracleAndKeepsItsBytes) {
+  // A default SystemConfig under the switch runs the cross-checked calendar
+  // queue, the stepped network shadow and the index oracle; any divergence
+  // throws. The shadow's own per-hop events are the only visible trace.
+  SystemConfig cfg;
+  cfg.target_completions = 0;
+  procsim::des::Xoshiro256SS rng(5);
+  procsim::workload::StochasticParams params;
+  params.load = 0.05;
+  const auto jobs = procsim::workload::generate_stochastic(params, cfg.geom, 40, rng);
+  const auto run = [&cfg, &jobs](bool verify) {
+    const procsim::testing::VerifyScope scope(verify);
+    GablAllocator alloc(cfg.geom);
+    OrderedScheduler sched(Policy::kFcfs);
+    SystemSim sim(cfg, alloc, sched);
+    return sim.run(jobs);
+  };
+  const RunMetrics plain = run(false);
+  const RunMetrics verified = run(true);
+  EXPECT_EQ(plain.completed, 40u);
+  EXPECT_EQ(plain.turnaround.mean(), verified.turnaround.mean());  // bitwise
+  EXPECT_EQ(plain.packet_latency.mean(), verified.packet_latency.mean());
+  EXPECT_EQ(plain.packet_blocking.mean(), verified.packet_blocking.mean());
+  EXPECT_EQ(plain.utilization, verified.utilization);
+  EXPECT_EQ(plain.makespan, verified.makespan);
+  EXPECT_GT(verified.events, plain.events);
 }
 
 }  // namespace
