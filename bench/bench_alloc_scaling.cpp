@@ -23,15 +23,16 @@
 // gated, so the large-mesh fast path can never silently regress.
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "alloc/registry.hpp"
+#include "core/figure_runner.hpp"
 #include "des/distributions.hpp"
 #include "des/rng.hpp"
 #include "mesh/free_submesh_scan.hpp"
@@ -84,17 +85,25 @@ int main(int argc, char** argv) {
   bool fast = false;
   std::string out_path = "BENCH_alloc.json";
   double check = 0;
+  const auto usage_error = [](const std::string& msg) {
+    std::cerr << "error: " << msg
+              << "\nusage: bench_alloc_scaling [--fast] [--out=BENCH_alloc.json] [--check=K]\n";
+    return 1;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fast") == 0) {
       fast = true;
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
     } else if (std::strncmp(argv[i], "--check=", 8) == 0) {
-      check = std::strtod(argv[i] + 8, nullptr);
+      try {
+        check = core::parse_real(argv[i], 8);
+        if (check < 0) throw std::invalid_argument("--check must be >= 0");
+      } catch (const std::invalid_argument& e) {
+        return usage_error(e.what());
+      }
     } else {
-      std::cerr << "error: unknown option " << argv[i]
-                << "\nusage: bench_alloc_scaling [--fast] [--out=BENCH_alloc.json] [--check=K]\n";
-      return 1;
+      return usage_error(std::string("unknown option ") + argv[i]);
     }
   }
 

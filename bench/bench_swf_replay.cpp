@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "alloc/registry.hpp"
+#include "core/figure_runner.hpp"
 #include "core/job_record_store.hpp"
 #include "core/system_sim.hpp"
 #include "des/event_queue.hpp"
@@ -74,20 +75,26 @@ Options parse_options(int argc, char** argv) {
     const auto value = [&](const char* prefix) {
       return arg.substr(std::strlen(prefix));
     };
+    const auto count = [&](const char* prefix) {
+      return core::parse_count(argv[i], std::strlen(prefix));
+    };
     if (arg.rfind("--swf=", 0) == 0) {
       opt.swf = value("--swf=");
     } else if (arg.rfind("--mesh=", 0) == 0) {
-      opt.mesh = static_cast<std::int32_t>(std::stol(value("--mesh=")));
+      const std::uint64_t side = count("--mesh=");
+      if (side == 0 || side > 4096) usage_error("--mesh must be in 1..4096");
+      opt.mesh = static_cast<std::int32_t>(side);
     } else if (arg.rfind("--reps=", 0) == 0) {
-      opt.reps = std::stoul(value("--reps="));
+      opt.reps = count("--reps=");
     } else if (arg.rfind("--threads=", 0) == 0) {
-      opt.threads = std::stoul(value("--threads="));
+      opt.threads = count("--threads=");
     } else if (arg.rfind("--load=", 0) == 0) {
-      opt.load = std::stod(value("--load="));
+      opt.load = core::parse_real(argv[i], std::strlen("--load="));
+      if (opt.load <= 0) usage_error("--load must be positive");
     } else if (arg.rfind("--prefix=", 0) == 0) {
-      opt.prefix = std::stoul(value("--prefix="));
+      opt.prefix = count("--prefix=");
     } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::stoull(value("--seed="));
+      opt.seed = count("--seed=");
     } else if (arg.rfind("--engine=", 0) == 0) {
       const std::string e = value("--engine=");
       if (e == "calendar") {
@@ -98,7 +105,9 @@ Options parse_options(int argc, char** argv) {
         usage_error("unknown --engine '" + e + "' (calendar|heap)");
       }
     } else if (arg.rfind("--coalesce=", 0) == 0) {
-      opt.coalesce = value("--coalesce=") != "0";
+      const std::string c = value("--coalesce=");
+      if (c != "0" && c != "1") usage_error("--coalesce takes 0|1, not '" + c + "'");
+      opt.coalesce = c == "1";
     } else if (arg.rfind("--out=", 0) == 0) {
       opt.out = value("--out=");
     } else if (arg.rfind("--records=", 0) == 0) {
@@ -108,7 +117,6 @@ Options parse_options(int argc, char** argv) {
     }
   }
   if (opt.swf.empty()) usage_error("--swf=PATH is required");
-  if (opt.mesh <= 0) usage_error("--mesh must be positive");
   if (opt.reps == 0) usage_error("--reps must be positive");
   return opt;
 }
@@ -169,10 +177,14 @@ void write_metrics_csv(const std::string& path, const Options& opt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_options(argc, argv);
-
-  const auto trace =
-      workload::load_swf_file_shared(opt.swf, opt.mesh * opt.mesh);
+  Options opt;
+  std::shared_ptr<const std::vector<workload::TraceJob>> trace;
+  try {
+    opt = parse_options(argc, argv);
+    trace = workload::load_swf_file_shared(opt.swf, opt.mesh * opt.mesh);
+  } catch (const std::exception& e) {
+    usage_error(e.what());
+  }
   const std::size_t njobs =
       opt.prefix != 0 && opt.prefix < trace->size() ? opt.prefix : trace->size();
   std::cout << "trace: " << trace->size() << " records, replaying " << njobs

@@ -7,13 +7,15 @@
 //
 //   ./mesh_animation [gabl|paging|mbs|random] [frames]
 
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/figure_runner.hpp"
 #include "des/distributions.hpp"
 #include "des/simulator.hpp"
 #include "workload/shape.hpp"
@@ -49,16 +51,35 @@ void print_frame(const alloc::Allocator& allocator,
   std::printf("\n");
 }
 
+/// The strategy a command-line name selects; throws on any other name.
+core::AllocatorSpec animated_allocator(const std::string& name) {
+  if (name == "gabl") return core::AllocatorSpec{"GABL"};
+  if (name == "paging") return core::AllocatorSpec{"Paging(0)"};
+  if (name == "mbs") return core::AllocatorSpec{"MBS"};
+  if (name == "random") return core::AllocatorSpec{"Random"};
+  throw std::invalid_argument("unknown strategy '" + name + "'");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   core::AllocatorSpec spec;  // defaults to GABL
-  if (argc > 1) {
-    if (std::strcmp(argv[1], "paging") == 0) spec = core::AllocatorSpec{"Paging(0)"};
-    if (std::strcmp(argv[1], "mbs") == 0) spec = core::AllocatorSpec{"MBS"};
-    if (std::strcmp(argv[1], "random") == 0) spec = core::AllocatorSpec{"Random"};
+  int frames = 6;
+  try {
+    if (argc > 3) throw std::invalid_argument("too many arguments");
+    if (argc > 1) spec = animated_allocator(argv[1]);
+    if (argc > 2) {
+      const std::uint64_t n = core::parse_count(argv[2], 0);
+      if (n == 0 || n > 1000) throw std::invalid_argument("frames must be in 1..1000");
+      frames = static_cast<int>(n);
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr,
+                 "mesh_animation: %s (usage: mesh_animation [gabl|paging|mbs|random] "
+                 "[frames])\n",
+                 e.what());
+    return 2;
   }
-  const int frames = argc > 2 ? std::atoi(argv[2]) : 6;
 
   const mesh::Geometry geom(16, 22);
   const auto allocator = core::make_allocator(spec, geom, 7);

@@ -13,6 +13,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,25 +31,32 @@ int main(int argc, char** argv) {
   std::string swf_path;
   double load = 0.005;
   std::vector<char*> passthrough{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--swf=", 6) == 0)
-      swf_path = argv[i] + 6;
-    else if (std::strncmp(argv[i], "--load=", 7) == 0)
-      load = std::atof(argv[i] + 7);
-    else
-      passthrough.push_back(argv[i]);
+  std::vector<workload::TraceJob> trace;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strncmp(argv[i], "--swf=", 6) == 0) {
+        swf_path = argv[i] + 6;
+      } else if (std::strncmp(argv[i], "--load=", 7) == 0) {
+        load = core::parse_real(argv[i], 7);
+        if (load <= 0) throw std::invalid_argument("--load must be positive");
+      } else {
+        passthrough.push_back(argv[i]);
+      }
+    }
+    if (!swf_path.empty()) trace = workload::load_swf_file(swf_path, 352);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
   }
   const core::RunOptions opts = core::run_options_or_exit(
       static_cast<int>(passthrough.size()), passthrough.data());
 
   // --- trace statistics -----------------------------------------------
-  std::vector<workload::TraceJob> trace;
   if (swf_path.empty()) {
     des::Xoshiro256SS rng(opts.seed);
     trace = workload::generate_paragon_trace(workload::ParagonModelParams{}, rng);
     std::printf("trace: synthetic SDSC Paragon model (no --swf given)\n");
   } else {
-    trace = workload::load_swf_file(swf_path, 352);
     std::printf("trace: %s\n", swf_path.c_str());
   }
   const workload::TraceStats stats = workload::compute_stats(trace);

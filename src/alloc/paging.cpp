@@ -1,13 +1,14 @@
 #include "alloc/paging.hpp"
 
+#include <algorithm>
+
 namespace procsim::alloc {
 
 PagingAllocator::PagingAllocator(mesh::Geometry geom, std::int32_t size_index,
                                  mesh::PageIndexing indexing)
     : Allocator(geom),
       table_(geom, size_index, indexing),
-      page_busy_(table_.page_count(), 0),
-      free_page_count_(table_.page_count()) {}
+      page_busy_(table_.page_count(), 0) {}
 
 std::optional<Placement> PagingAllocator::allocate(const Request& req) {
   validate_request(req, geometry());
@@ -33,10 +34,8 @@ std::optional<Placement> PagingAllocator::allocate(const Request& req) {
   }
   if (capacity < req.processors) return std::nullopt;  // unreachable under pure Paging
 
-  for (const std::int32_t tag : placement.tags) {
+  for (const std::int32_t tag : placement.tags)
     page_busy_[static_cast<std::size_t>(tag)] = 1;
-    --free_page_count_;
-  }
   for (const mesh::SubMesh& b : placement.blocks) occupy(b);
   finalize_placement(placement, req.processors);
   return placement;
@@ -50,11 +49,13 @@ bool PagingAllocator::can_allocate(const Request& req) const {
 }
 
 void PagingAllocator::release(const Placement& placement) {
-  for (const std::int32_t tag : placement.tags) {
+  for (const std::int32_t tag : placement.tags)
     page_busy_.at(static_cast<std::size_t>(tag)) = 0;
-    ++free_page_count_;
-  }
   for (const mesh::SubMesh& b : placement.blocks) vacate(b);
+}
+
+std::size_t PagingAllocator::free_pages() const {
+  return static_cast<std::size_t>(std::count(page_busy_.begin(), page_busy_.end(), 0));
 }
 
 std::string PagingAllocator::name() const {
@@ -64,7 +65,6 @@ std::string PagingAllocator::name() const {
 void PagingAllocator::reset() {
   Allocator::reset();
   std::fill(page_busy_.begin(), page_busy_.end(), std::uint8_t{0});
-  free_page_count_ = table_.page_count();
 }
 
 }  // namespace procsim::alloc

@@ -25,12 +25,12 @@ class PagingAllocator final : public Allocator {
   void reset() override;
 
   [[nodiscard]] const mesh::PageTable& pages() const noexcept { return table_; }
-  [[nodiscard]] std::size_t free_pages() const noexcept { return free_page_count_; }
+  /// Pages not held by any placement (tests).
+  [[nodiscard]] std::size_t free_pages() const;
 
  private:
   mesh::PageTable table_;
   std::vector<std::uint8_t> page_busy_;  // by page index
-  std::size_t free_page_count_;
 };
 
 }  // namespace procsim::alloc

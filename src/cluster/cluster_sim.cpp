@@ -145,7 +145,9 @@ void ClusterSim::pump_arrival() {
     throw std::invalid_argument("ClusterSim: source arrivals must be non-decreasing");
   sim_.schedule_at(*next, [this] {
     std::optional<workload::Job> job = source_->next_job();
-    if (!job) return;
+    if (!job || job->arrival != sim_.now())
+      throw std::logic_error(
+          "ClusterSim: source next_job() missing or not at its peek_arrival() time");
     pump_arrival();
     dispatch(std::move(*job));
   });

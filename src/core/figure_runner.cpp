@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -33,19 +34,27 @@ std::vector<Series> paper_series() {
 
 namespace {
 
-/// The value of `--name=N` as a non-negative integer; throws on anything
-/// else ("", "abc", "-1", "12x", overflow).
-std::uint64_t parse_count(const char* arg, std::size_t prefix) {
+template <typename T>
+T parse_number(const char* arg, std::size_t prefix) {
   const char* first = arg + prefix;
   const char* last = first + std::strlen(first);
-  std::uint64_t value = 0;
+  T value{};
   const auto [end, ec] = std::from_chars(first, last, value);
-  if (first == last || ec != std::errc{} || end != last)
+  if (first == last || ec != std::errc{} || end != last ||
+      !std::isfinite(static_cast<double>(value)))
     throw std::invalid_argument(std::string("malformed number in ") + arg);
   return value;
 }
 
 }  // namespace
+
+std::uint64_t parse_count(const char* arg, std::size_t prefix) {
+  return parse_number<std::uint64_t>(arg, prefix);
+}
+
+double parse_real(const char* arg, std::size_t prefix) {
+  return parse_number<double>(arg, prefix);
+}
 
 RunOptions parse_run_options(int argc, char** argv) {
   // Surfaces a malformed PROCSIM_VERIFY on the main thread, before any work.

@@ -43,6 +43,13 @@ struct RunOptions {
   bool fast{false};             ///< shrink jobs/reps for smoke runs
 };
 
+/// The value of flag `arg` past its first `prefix` characters ("--jobs=N"
+/// has prefix 7) as a non-negative integer, or as a finite number. Throws
+/// std::invalid_argument("malformed number in ARG") on anything else ("",
+/// "abc", "12x", overflow; "-1" for parse_count).
+[[nodiscard]] std::uint64_t parse_count(const char* arg, std::size_t prefix);
+[[nodiscard]] double parse_real(const char* arg, std::size_t prefix);
+
 /// Parses the effort flags. Throws std::invalid_argument on an unknown flag
 /// (`--benchmark*` is tolerated) or a malformed number (`--threads=abc`).
 [[nodiscard]] RunOptions parse_run_options(int argc, char** argv);

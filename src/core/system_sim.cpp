@@ -160,7 +160,9 @@ void SystemSim::pump_arrival() {
   // historical schedule-all-arrivals-up-front implementation.
   sim_->schedule_at(*next, [this] {
     std::optional<workload::Job> job = source_->next_job();
-    if (!job) return;  // a source must not retract a peeked job; be lenient
+    if (!job || job->arrival != sim_->now())
+      throw std::logic_error(
+          "SystemSim: source next_job() missing or not at its peek_arrival() time");
     pump_arrival();
     on_arrival(std::move(*job));
   });

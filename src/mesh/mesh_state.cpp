@@ -1,7 +1,6 @@
 #include "mesh/mesh_state.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 namespace procsim::mesh {
@@ -25,66 +24,38 @@ void MeshState::release(NodeId n) {
   ++free_;
 }
 
-// The sub-mesh variants work a contiguous row span at a time (node ids are
-// row-major), replacing the per-node id arithmetic and bounds re-checks with
-// one memchr precondition scan and one fill per row — at 512 columns that is
-// 512 bytes of straight-line memory traffic instead of 512 call-and-check
-// iterations, and the per-event cost that used to show beside the allocator
-// queries in the 512×512 profile.
-
-void MeshState::allocate(const SubMesh& s) {
+std::int32_t MeshState::busy_in(const SubMesh& s) const {
   if (!s.valid() || !geom_.contains(s.base()) || !geom_.contains(s.end()))
     throw std::out_of_range("MeshState: sub-mesh outside mesh");
-  const std::size_t w = static_cast<std::size_t>(s.width());
-  for (std::int32_t y = s.y1; y <= s.y2; ++y) {
-    std::uint8_t* r = busy_.data() + static_cast<std::size_t>(geom_.id(Coord{s.x1, y}));
-    if (std::memchr(r, 1, w) != nullptr)
-      throw std::logic_error("MeshState: double allocation of node");
-    std::fill(r, r + w, std::uint8_t{1});
-  }
-  free_ -= s.area();
+  std::int32_t busy = 0;
+  for (std::int32_t y = s.y1; y <= s.y2; ++y)
+    for (std::int32_t x = s.x1; x <= s.x2; ++x) busy += is_busy(Coord{x, y});
+  return busy;
+}
+
+// The sub-mesh variants check the whole rectangle before changing a node, so
+// a violation leaves the map untouched.
+
+void MeshState::allocate(const SubMesh& s) {
+  if (busy_in(s) != 0) throw std::logic_error("MeshState: double allocation of node");
+  for (std::int32_t y = s.y1; y <= s.y2; ++y)
+    for (std::int32_t x = s.x1; x <= s.x2; ++x) allocate(geom_.id(Coord{x, y}));
 }
 
 void MeshState::release(const SubMesh& s) {
-  if (!s.valid() || !geom_.contains(s.base()) || !geom_.contains(s.end()))
-    throw std::out_of_range("MeshState: sub-mesh outside mesh");
-  const std::size_t w = static_cast<std::size_t>(s.width());
-  for (std::int32_t y = s.y1; y <= s.y2; ++y) {
-    std::uint8_t* r = busy_.data() + static_cast<std::size_t>(geom_.id(Coord{s.x1, y}));
-    if (std::memchr(r, 0, w) != nullptr)
-      throw std::logic_error("MeshState: releasing a free node");
-    std::fill(r, r + w, std::uint8_t{0});
-  }
-  free_ += s.area();
+  if (busy_in(s) != s.area()) throw std::logic_error("MeshState: releasing a free node");
+  for (std::int32_t y = s.y1; y <= s.y2; ++y)
+    for (std::int32_t x = s.x1; x <= s.x2; ++x) release(geom_.id(Coord{x, y}));
 }
 
 bool MeshState::all_free(const SubMesh& s) const {
   if (!s.valid() || !geom_.contains(s.base()) || !geom_.contains(s.end())) return false;
-  const std::size_t w = static_cast<std::size_t>(s.width());
-  for (std::int32_t y = s.y1; y <= s.y2; ++y) {
-    const std::uint8_t* r =
-        busy_.data() + static_cast<std::size_t>(geom_.id(Coord{s.x1, y}));
-    if (std::memchr(r, 1, w) != nullptr) return false;
-  }
-  return true;
+  return busy_in(s) == 0;
 }
 
 void MeshState::clear() {
   std::fill(busy_.begin(), busy_.end(), std::uint8_t{0});
   free_ = geom_.nodes();
-}
-
-std::vector<NodeId> MeshState::free_nodes() const {
-  std::vector<NodeId> out;
-  free_nodes_into(out);
-  return out;
-}
-
-void MeshState::free_nodes_into(std::vector<NodeId>& out) const {
-  out.clear();
-  out.reserve(static_cast<std::size_t>(free_));
-  for (NodeId n = 0; n < geom_.nodes(); ++n)
-    if (!busy_[static_cast<std::size_t>(n)]) out.push_back(n);
 }
 
 }  // namespace procsim::mesh

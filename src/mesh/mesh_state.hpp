@@ -8,10 +8,10 @@
 
 namespace procsim::mesh {
 
-/// Occupancy bitmap of a mesh: which processors are currently allocated.
-/// Shared vocabulary of every allocation strategy; the strategies keep their
-/// own auxiliary indexes (page tables, buddy trees, busy lists) in sync with
-/// this ground truth, and the tests cross-check them against it.
+/// Per-node occupancy map of a mesh, one byte per node: the input type of
+/// the FreeSubmeshScan oracle. No allocator keeps one (their occupancy is the
+/// OccupancyIndex); OccupancyIndex::to_mesh_state() builds one for the oracle,
+/// and tests and benches build their own.
 class MeshState {
  public:
   explicit MeshState(Geometry geom)
@@ -43,15 +43,10 @@ class MeshState {
   /// Frees every node (fresh replication).
   void clear();
 
-  /// Row-major list of free node ids (Paging(0) ground truth / diagnostics).
-  [[nodiscard]] std::vector<NodeId> free_nodes() const;
-
-  /// free_nodes() into a caller-owned buffer (cleared first) so hot paths can
-  /// reuse one allocation across calls.
-  void free_nodes_into(std::vector<NodeId>& out) const;
-
  private:
   [[nodiscard]] std::size_t checked(NodeId n) const;
+  /// Busy nodes of `s`; throws std::out_of_range unless `s` lies in the mesh.
+  [[nodiscard]] std::int32_t busy_in(const SubMesh& s) const;
 
   Geometry geom_;
   std::vector<std::uint8_t> busy_;

@@ -101,6 +101,18 @@ bool OccupancyIndex::is_busy(Coord c) const {
           (std::uint64_t{1} << (c.x % 64))) == 0;
 }
 
+void OccupancyIndex::free_nodes_into(std::vector<NodeId>& out) const {
+  out.clear();
+  out.reserve(static_cast<std::size_t>(free_count_));
+  for (std::int32_t y = 0; y < geom_.length(); ++y) {
+    const std::uint64_t* r = row(y);
+    const NodeId first = geom_.id(Coord{0, y});
+    for (std::size_t w = 0; w < words_; ++w)
+      for (std::uint64_t bits = r[w]; bits != 0; bits &= bits - 1)
+        out.push_back(first + static_cast<NodeId>(w * 64) + std::countr_zero(bits));
+  }
+}
+
 void OccupancyIndex::check_inside(const SubMesh& s) const {
   if (!s.valid() || !geom_.contains(s.base()) || !geom_.contains(s.end()))
     throw std::out_of_range("OccupancyIndex: sub-mesh outside mesh");
@@ -108,17 +120,13 @@ void OccupancyIndex::check_inside(const SubMesh& s) const {
 
 void OccupancyIndex::allocate(const SubMesh& s) {
   check_inside(s);
+  if (!is_free(s)) throw std::logic_error("OccupancyIndex: double allocation of node");
   const std::size_t w1 = static_cast<std::size_t>(s.x1) / 64;
   const std::size_t w2 = static_cast<std::size_t>(s.x2) / 64;
   for (std::int32_t y = s.y1; y <= s.y2; ++y) {
     std::uint64_t* r = row(y);
-    for (std::size_t w = w1; w <= w2; ++w) {
-      const std::uint64_t m = bit_range(w == w1 ? s.x1 % 64 : 0,
-                                        w == w2 ? s.x2 % 64 : 63);
-      if ((r[w] & m) != m)
-        throw std::logic_error("OccupancyIndex: double allocation of node");
-      r[w] &= ~m;
-    }
+    for (std::size_t w = w1; w <= w2; ++w)
+      r[w] &= ~bit_range(w == w1 ? s.x1 % 64 : 0, w == w2 ? s.x2 % 64 : 63);
     dirty_row(y);
   }
   free_count_ -= s.area();
@@ -126,17 +134,14 @@ void OccupancyIndex::allocate(const SubMesh& s) {
 
 void OccupancyIndex::release(const SubMesh& s) {
   check_inside(s);
+  if (busy_in(s) != s.area())
+    throw std::logic_error("OccupancyIndex: releasing a free node");
   const std::size_t w1 = static_cast<std::size_t>(s.x1) / 64;
   const std::size_t w2 = static_cast<std::size_t>(s.x2) / 64;
   for (std::int32_t y = s.y1; y <= s.y2; ++y) {
     std::uint64_t* r = row(y);
-    for (std::size_t w = w1; w <= w2; ++w) {
-      const std::uint64_t m = bit_range(w == w1 ? s.x1 % 64 : 0,
-                                        w == w2 ? s.x2 % 64 : 63);
-      if ((r[w] & m) != 0)
-        throw std::logic_error("OccupancyIndex: releasing a free node");
-      r[w] |= m;
-    }
+    for (std::size_t w = w1; w <= w2; ++w)
+      r[w] |= bit_range(w == w1 ? s.x1 % 64 : 0, w == w2 ? s.x2 % 64 : 63);
     dirty_row(y);
   }
   release_gen_ = gen_counter_;

@@ -62,10 +62,12 @@ class OccupancyIndex {
     return geom_.nodes() - free_count_;
   }
   [[nodiscard]] bool is_busy(Coord c) const;
+  [[nodiscard]] bool is_busy(NodeId n) const { return is_busy(geom_.coord(n)); }
 
-  /// O(rows touched) incremental updates. Preconditions mirror MeshState:
-  /// allocate() requires every node of `s` free, release() every node busy;
-  /// violations throw std::logic_error, out-of-mesh throws std::out_of_range.
+  /// O(rows touched) incremental updates. allocate() requires every node of
+  /// `s` free, release() every node busy; violations throw std::logic_error,
+  /// out-of-mesh throws std::out_of_range, and either leaves the index as it
+  /// was.
   void allocate(const SubMesh& s);
   void release(const SubMesh& s);
   void allocate(NodeId n);
@@ -73,6 +75,11 @@ class OccupancyIndex {
 
   /// Frees every node (fresh replication).
   void clear();
+
+  /// The free node ids in ascending (row-major) order, written into a
+  /// caller-owned buffer (cleared first) so Random's per-allocation free list
+  /// reuses one allocation across calls.
+  void free_nodes_into(std::vector<NodeId>& out) const;
 
   // --- Queries, answer-identical to FreeSubmeshScan on the same occupancy ---
 

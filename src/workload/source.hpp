@@ -30,6 +30,8 @@ namespace procsim::workload {
 ///     see bit-identical streams.
 ///   * `peek_arrival()` is the arrival time of the job `next_job()` will
 ///     return, without consuming it; nullopt once the stream is exhausted.
+///     SystemSim and ClusterSim throw std::logic_error when that job is
+///     missing or arrives at another time.
 ///   * Arrivals are non-decreasing. Job ids are unique within a stream.
 ///   * All randomness derives from the reset seed: two resets with the same
 ///     seed replay the identical stream.

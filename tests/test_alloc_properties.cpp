@@ -8,9 +8,12 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "alloc/registry.hpp"
 #include "core/experiment.hpp"
 #include "des/distributions.hpp"
 #include "des/rng.hpp"
@@ -214,6 +217,28 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '(' || c == ')') c = '_';
       return name;
     });
+
+// The occupancy index is each strategy's only occupancy record, so it is the
+// one that must catch a placement released twice: every registry strategy
+// (plus Paging with multi-node pages) throws and leaves its occupancy as it
+// was.
+TEST(AllocRelease, DoubleReleaseThrowsForEveryRegistryAllocator) {
+  const Geometry g(16, 22);
+  std::vector<std::string> names = procsim::alloc::known_allocators();
+  names.emplace_back("Paging(1)");
+  for (const std::string& name : names) {
+    const auto alloc = procsim::alloc::make_allocator(name, g, {.seed = 3});
+    const auto first = alloc->allocate(Request{3, 2, 6});
+    const auto second = alloc->allocate(Request{4, 4, 16});
+    ASSERT_TRUE(first && second) << name;
+    alloc->release(*first);
+    const std::int32_t free = alloc->free_processors();
+    EXPECT_THROW(alloc->release(*first), std::logic_error) << name;
+    EXPECT_EQ(alloc->free_processors(), free) << name;
+    alloc->release(*second);
+    EXPECT_EQ(alloc->free_processors(), g.nodes()) << name;
+  }
+}
 
 // Trace-style requests (p with derived near-square shape) keep the same
 // guarantees — this is the path the real-workload experiments exercise.

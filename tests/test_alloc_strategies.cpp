@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 #include "alloc/contiguous.hpp"
 #include "alloc/gabl.hpp"
@@ -82,6 +83,18 @@ TEST(Paging, ReleaseRestoresPages) {
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(a.free_pages(), 3u);
   a.release(*p);
+  EXPECT_EQ(a.free_pages(), 4u);
+  EXPECT_EQ(a.free_processors(), 64);
+}
+
+TEST(Paging, RejectedDoubleReleaseKeepsThePageCount) {
+  // free_pages() counts the page map, so a release the occupancy rejects
+  // cannot leave the count ahead of the pages actually free.
+  PagingAllocator a(Geometry(8, 8), 2);
+  const auto p = a.allocate(Request{4, 4, 16});
+  ASSERT_TRUE(p.has_value());
+  a.release(*p);
+  EXPECT_THROW(a.release(*p), std::logic_error);
   EXPECT_EQ(a.free_pages(), 4u);
   EXPECT_EQ(a.free_processors(), 64);
 }

@@ -2,11 +2,14 @@
 
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "broken_source.hpp"
+#include "cluster/cluster_sim.hpp"
 #include "cluster/cluster_spec.hpp"
 #include "cluster/dispatcher.hpp"
 #include "core/experiment.hpp"
@@ -307,6 +310,23 @@ TEST(ClusterSim, DrainCompletesEveryJobExactlyOnce) {
   // shortest_queue always picks the fresh argmin: staleness errors impossible.
   EXPECT_EQ(m.cluster.stale_errors, 0u);
   EXPECT_EQ(m.cluster.migrations, 0u);  // migrate=off
+}
+
+TEST(ClusterSim, RejectsASourceThatBreaksItsPeekedArrival) {
+  // Same Source contract as a single mesh: the job must exist and arrive at
+  // the peeked time, or the run stops.
+  const auto run = [](std::optional<double> arrival) {
+    cluster::ClusterSimConfig cfg;
+    cfg.spec = *parse_cluster_spec("2x(4x4)");
+    cfg.target_completions = 0;
+    cluster::ClusterSim sim(cfg);
+    procsim::testing::BrokenSource source(arrival);
+    return sim.run(source);
+  };
+  EXPECT_EQ(run(5.0).completed, 1u);
+  EXPECT_THROW((void)run(std::nullopt), std::logic_error);
+  EXPECT_THROW((void)run(7.0), std::logic_error);
+  EXPECT_THROW((void)run(3.0), std::logic_error);
 }
 
 TEST(ClusterSim, MigrationPaysLatencyAndNeverDuplicatesOrLoses) {

@@ -138,17 +138,7 @@ TEST(MeshState, PaperFigure1Scenario) {
       any = m.all_free(SubMesh::from_base(Coord{x, y}, 2, 2));
   EXPECT_FALSE(any);
   // ...yet a non-contiguous strategy can hand out the 4 free processors.
-  EXPECT_EQ(m.free_nodes().size(), 4u);
-}
-
-TEST(MeshState, FreeNodesRowMajorOrder) {
-  MeshState m(Geometry(3, 2));
-  m.allocate(m.geometry().id(Coord{1, 0}));
-  const auto free = m.free_nodes();
-  ASSERT_EQ(free.size(), 5u);
-  EXPECT_EQ(free[0], m.geometry().id(Coord{0, 0}));
-  EXPECT_EQ(free[1], m.geometry().id(Coord{2, 0}));
-  EXPECT_EQ(free[2], m.geometry().id(Coord{0, 1}));
+  EXPECT_EQ(m.free_count(), 4);
 }
 
 TEST(MeshState, ClearRestoresPristine) {
@@ -158,35 +148,10 @@ TEST(MeshState, ClearRestoresPristine) {
   EXPECT_EQ(m.free_count(), 16);
 }
 
-TEST(MeshState, FreeNodesIntoRetainsCapacityAcrossCalls) {
-  // Paging(0) calls free_nodes_into on every scheduling pass with one reused
-  // buffer; at a 512×512 mesh (262,144 nodes) a per-call reallocation would
-  // be a malloc/free of a megabyte per event. The contract: after a first
-  // call sized the buffer, later calls never reallocate (clear() + reserve()
-  // within existing capacity keep the same heap block).
-  MeshState m(Geometry(512, 512));
-  ASSERT_EQ(m.geometry().nodes(), 262144);
-  std::vector<NodeId> buf;
-  m.free_nodes_into(buf);
-  ASSERT_EQ(buf.size(), 262144u);
-  const std::size_t cap = buf.capacity();
-  const NodeId* data = buf.data();
-  // Churn occupancy between calls so the free list genuinely changes size.
-  m.allocate(SubMesh{0, 0, 255, 255});
-  m.free_nodes_into(buf);
-  EXPECT_EQ(buf.size(), 262144u - 65536u);
-  EXPECT_EQ(buf.capacity(), cap);
-  EXPECT_EQ(buf.data(), data);
-  m.release(SubMesh{0, 0, 255, 255});
-  m.free_nodes_into(buf);
-  EXPECT_EQ(buf.size(), 262144u);
-  EXPECT_EQ(buf.capacity(), cap);
-  EXPECT_EQ(buf.data(), data);
-}
-
 TEST(MeshState, SubMeshOpsMatchPerNodeLoops) {
-  // The row-wise allocate/release/all_free must agree with the single-node
-  // path on every span alignment (start/middle/end of a row, full rows).
+  // The sub-mesh allocate/release/all_free must agree with the single-node
+  // path on every span alignment (start/middle/end of a row, full rows), and
+  // a rejected sub-mesh op must leave the map untouched.
   MeshState rowwise(Geometry(7, 5));
   MeshState pernode(Geometry(7, 5));
   const SubMesh spans[] = {{0, 0, 2, 1}, {3, 1, 6, 3}, {0, 4, 6, 4}, {5, 0, 5, 0}};

@@ -17,6 +17,7 @@ using procsim::mesh::Coord;
 using procsim::mesh::FreeSubmeshScan;
 using procsim::mesh::Geometry;
 using procsim::mesh::MeshState;
+using procsim::mesh::NodeId;
 using procsim::mesh::OccupancyIndex;
 using procsim::mesh::SubMesh;
 
@@ -58,6 +59,29 @@ TEST(OccupancyIndex, PreconditionViolationsThrow) {
   EXPECT_THROW(idx.allocate(SubMesh{4, 4, 6, 6}), std::out_of_range);
 }
 
+TEST(OccupancyIndex, RejectedUpdatesLeaveTheIndexUntouched) {
+  // The index is an allocator's only occupancy record, so an update it
+  // rejects must not change a bit, even when the clash lies in a later row
+  // or word than the first.
+  OccupancyIndex idx(Geometry(70, 4));
+  idx.allocate(SubMesh{66, 2, 66, 2});
+  idx.allocate(SubMesh{0, 0, 3, 0});
+  const auto expect_unchanged = [&idx] {
+    EXPECT_EQ(idx.free_count(), 280 - 5);
+    std::vector<NodeId> free;
+    idx.free_nodes_into(free);
+    EXPECT_EQ(free.size(), 275u);
+    EXPECT_TRUE(idx.is_busy(Coord{66, 2}));
+    EXPECT_TRUE(idx.is_busy(Coord{0, 0}));
+  };
+  EXPECT_THROW(idx.allocate(SubMesh{60, 0, 69, 3}), std::logic_error);
+  expect_unchanged();
+  EXPECT_THROW(idx.release(SubMesh{0, 0, 4, 0}), std::logic_error);
+  expect_unchanged();
+  EXPECT_THROW(idx.release(SubMesh{66, 1, 66, 2}), std::logic_error);
+  expect_unchanged();
+}
+
 TEST(OccupancyIndex, WordBoundaryMeshes) {
   // Widths of exactly 64 and just over one word exercise the multi-word
   // shift/mask paths (the scaling meshes are 64- and 128-wide).
@@ -83,6 +107,88 @@ TEST(OccupancyIndex, ToMeshStateRoundTrips) {
   for (std::int32_t y = 0; y < 5; ++y)
     for (std::int32_t x = 0; x < 9; ++x)
       EXPECT_EQ(state.is_busy(Coord{x, y}), idx.is_busy(Coord{x, y}));
+}
+
+TEST(OccupancyIndex, FreeNodesRowMajorOrder) {
+  OccupancyIndex idx(Geometry(3, 2));
+  idx.allocate(idx.geometry().id(Coord{1, 0}));
+  std::vector<NodeId> free;
+  idx.free_nodes_into(free);
+  ASSERT_EQ(free.size(), 5u);
+  EXPECT_EQ(free[0], idx.geometry().id(Coord{0, 0}));
+  EXPECT_EQ(free[1], idx.geometry().id(Coord{2, 0}));
+  EXPECT_EQ(free[2], idx.geometry().id(Coord{0, 1}));
+  EXPECT_TRUE(idx.is_busy(idx.geometry().id(Coord{1, 0})));
+  EXPECT_FALSE(idx.is_busy(idx.geometry().id(Coord{2, 0})));
+  EXPECT_THROW((void)idx.is_busy(NodeId{6}), std::out_of_range);
+  EXPECT_THROW((void)idx.is_busy(NodeId{-1}), std::out_of_range);
+}
+
+TEST(OccupancyIndex, FreeNodesIntoRetainsCapacityAcrossCalls) {
+  // Random rebuilds its free list with free_nodes_into on every allocation
+  // with one reused buffer; at a 512×512 mesh (262,144 nodes) a per-call
+  // reallocation would be a malloc/free of a megabyte per event. The
+  // contract: after a first call sized the buffer, later calls never
+  // reallocate (clear() + reserve() within existing capacity keep the same
+  // heap block).
+  OccupancyIndex idx(Geometry(512, 512));
+  ASSERT_EQ(idx.geometry().nodes(), 262144);
+  std::vector<NodeId> buf;
+  idx.free_nodes_into(buf);
+  ASSERT_EQ(buf.size(), 262144u);
+  const std::size_t cap = buf.capacity();
+  const NodeId* data = buf.data();
+  // Churn occupancy between calls so the free list genuinely changes size.
+  idx.allocate(SubMesh{0, 0, 255, 255});
+  idx.free_nodes_into(buf);
+  EXPECT_EQ(buf.size(), 262144u - 65536u);
+  EXPECT_EQ(buf.capacity(), cap);
+  EXPECT_EQ(buf.data(), data);
+  idx.release(SubMesh{0, 0, 255, 255});
+  idx.free_nodes_into(buf);
+  EXPECT_EQ(buf.size(), 262144u);
+  EXPECT_EQ(buf.capacity(), cap);
+  EXPECT_EQ(buf.data(), data);
+}
+
+TEST(OccupancyIndex, FreeNodesIntoMatchesPerNodeScanUnderChurn) {
+  // The word walk must list exactly the nodes is_busy() calls free, in
+  // ascending order, on widths around the 64-bit word boundary (a tail word
+  // with 63, 0 and 1 valid bits) and under random allocate/release churn.
+  for (const std::int32_t w : {63, 64, 65}) {
+    const Geometry g(w, 9);
+    OccupancyIndex idx(g);
+    procsim::des::Xoshiro256SS rng(static_cast<std::uint64_t>(w));
+    std::vector<SubMesh> live;
+    std::vector<NodeId> got;
+    idx.free_nodes_into(got);
+    const std::size_t cap = got.capacity();
+    for (int step = 0; step < 400; ++step) {
+      if (live.empty() || procsim::des::sample_bernoulli(rng, 0.6)) {
+        const auto a =
+            static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, w));
+        const auto b =
+            static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 3));
+        if (const auto s = idx.first_fit(a, b)) {
+          idx.allocate(*s);
+          live.push_back(*s);
+        }
+      } else {
+        const auto i = static_cast<std::size_t>(procsim::des::sample_uniform_int(
+            rng, 0, static_cast<std::int64_t>(live.size()) - 1));
+        idx.release(live[i]);
+        live[i] = live.back();
+        live.pop_back();
+      }
+      idx.free_nodes_into(got);
+      std::vector<NodeId> want;
+      for (NodeId n = 0; n < g.nodes(); ++n)
+        if (!idx.is_busy(n)) want.push_back(n);
+      ASSERT_EQ(got, want) << "width " << w << " step " << step;
+      ASSERT_EQ(static_cast<std::int32_t>(got.size()), idx.free_count());
+      EXPECT_EQ(got.capacity(), cap) << "width " << w << " step " << step;
+    }
+  }
 }
 
 /// Satellite: thousands of allocate/release steps on random geometries, with

@@ -11,6 +11,7 @@
 
 #include "alloc/gabl.hpp"
 #include "alloc/paging.hpp"
+#include "broken_source.hpp"
 #include "core/job_record_store.hpp"
 #include "core/system_sim.hpp"
 #include "sched/ordered_scheduler.hpp"
@@ -396,6 +397,27 @@ TEST(SystemSim, AllProcessorsReleasedAtEnd) {
   const RunMetrics m = sim.run(jobs);
   EXPECT_EQ(m.completed, 100u);
   EXPECT_EQ(alloc.free_processors(), 64);  // everything returned
+}
+
+TEST(SystemSim, RejectsASourceThatBreaksItsPeekedArrival) {
+  // The arrival event is scheduled at the peeked time; a source that then
+  // retracts the job or hands over one with another arrival time breaks the
+  // Source contract, and the run must stop instead of skipping or
+  // misdating the job.
+  SystemConfig cfg;
+  cfg.geom = Geometry(4, 4);
+  cfg.target_completions = 0;
+  const auto run = [&cfg](std::optional<double> arrival) {
+    GablAllocator alloc(cfg.geom);
+    OrderedScheduler sched(Policy::kFcfs);
+    SystemSim sim(cfg, alloc, sched);
+    procsim::testing::BrokenSource source(arrival);
+    return sim.run(source);
+  };
+  EXPECT_EQ(run(5.0).completed, 1u);
+  EXPECT_THROW((void)run(std::nullopt), std::logic_error);
+  EXPECT_THROW((void)run(7.0), std::logic_error);
+  EXPECT_THROW((void)run(3.0), std::logic_error);
 }
 
 // ------------------------------------------------------------ verify mode
