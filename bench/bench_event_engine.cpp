@@ -5,7 +5,10 @@
 //  * queue hold-model churn — a steady pending set of N events, each
 //    operation pops the minimum and pushes a replacement an exponential
 //    offset later (the classic calendar-queue "hold" workload), timed for
-//    the binary-heap oracle and the calendar queue at N = 10k and N = 1M;
+//    the binary-heap oracle and the calendar queue at N = 10k and N = 1M,
+//    plus a report-only N = 64 pair ("queues_report_only", which the gate
+//    does not read): the paper's 16x22 figure cells hold a pending set of
+//    about 40 events, far below the gated sizes;
 //  * end-to-end churn — a full SystemSim run on a 128x128 mesh (first_fit +
 //    FCFS, stochastic workload), comparing the legacy configuration (heap
 //    engine, one scheduling pass per event) against the current one
@@ -69,16 +72,16 @@ struct EndToEndRow {
 double hold_ops_per_sec(des::EventEngine engine, std::size_t pending, int ops) {
   des::EventQueue q(engine);
   des::Xoshiro256SS rng(0x41D + pending);
+  const des::Handler noop{[](void*, std::uint64_t) {}, nullptr};
   double t = 0;
   for (std::size_t i = 0; i < pending; ++i) {
     t += des::sample_exponential(rng, 1.0);
-    q.push(t, [] {});
+    q.push(t, noop);
   }
   const auto t0 = Clock::now();
   for (int i = 0; i < ops; ++i) {
     const des::Event ev = q.pop();
-    q.push(ev.time + des::sample_exponential(rng, static_cast<double>(pending)),
-           [] {});
+    q.push(ev.time + des::sample_exponential(rng, static_cast<double>(pending)), noop);
   }
   const double secs = seconds_since(t0);
   return ops / secs;
@@ -136,9 +139,11 @@ int main(int argc, char** argv) {
 
   // --- queue hold-model churn -------------------------------------------
   std::vector<QueueRow> queues;
+  std::vector<QueueRow> queues_report_only;
   const int hold_ops_small = fast ? 200'000 : 2'000'000;
   const int hold_ops_large = fast ? 100'000 : 1'000'000;
-  for (const std::size_t pending : {std::size_t{10'000}, std::size_t{1'000'000}}) {
+  for (const std::size_t pending :
+       {std::size_t{64}, std::size_t{10'000}, std::size_t{1'000'000}}) {
     const int ops = pending <= 10'000 ? hold_ops_small : hold_ops_large;
     for (const auto& [engine, label] :
          {std::pair{des::EventEngine::kHeap, "heap"},
@@ -147,7 +152,7 @@ int main(int argc, char** argv) {
       row.pending = pending;
       row.impl = label;
       row.ops_per_sec = hold_ops_per_sec(engine, pending, ops);
-      queues.push_back(row);
+      (pending == 64 ? queues_report_only : queues).push_back(row);
     }
   }
 
@@ -184,9 +189,10 @@ int main(int argc, char** argv) {
 
   // --- report ------------------------------------------------------------
   std::cout << "queue hold-model churn (pop+push ops/s):\n";
-  for (const QueueRow& r : queues)
-    std::cout << "  pending=" << r.pending << " " << r.impl << ": "
-              << r.ops_per_sec << "\n";
+  for (const auto* rows : {&queues_report_only, &queues})
+    for (const QueueRow& r : *rows)
+      std::cout << "  pending=" << r.pending << " " << r.impl << ": "
+                << r.ops_per_sec << (rows == &queues ? "" : " (report-only)") << "\n";
   std::cout << "end-to-end DES churn (simulator events/s):\n";
   for (const EndToEndRow& r : e2e)
     std::cout << "  " << r.mesh << " " << r.allocator << " " << r.engine << ": "
@@ -197,14 +203,19 @@ int main(int argc, char** argv) {
             << overhead_frac * 100.0 << "%\n";
 
   std::ofstream json(out_path);
+  const auto write_queue_rows = [&json](const std::vector<QueueRow>& rows) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const QueueRow& r = rows[i];
+      json << "    {\"pending\": " << r.pending << ", \"impl\": \"" << r.impl
+           << "\", \"ops_per_sec\": " << r.ops_per_sec << "}"
+           << (i + 1 < rows.size() ? "," : "") << "\n";
+    }
+  };
   json << "{\n  \"bench\": \"bench_event_engine\",\n  \"mode\": \""
        << (fast ? "fast" : "full") << "\",\n  \"queues\": [\n";
-  for (std::size_t i = 0; i < queues.size(); ++i) {
-    const QueueRow& r = queues[i];
-    json << "    {\"pending\": " << r.pending << ", \"impl\": \"" << r.impl
-         << "\", \"ops_per_sec\": " << r.ops_per_sec << "}"
-         << (i + 1 < queues.size() ? "," : "") << "\n";
-  }
+  write_queue_rows(queues);
+  json << "  ],\n  \"queues_report_only\": [\n";
+  write_queue_rows(queues_report_only);
   json << "  ],\n  \"end_to_end\": [\n";
   for (std::size_t i = 0; i < e2e.size(); ++i) {
     const EndToEndRow& r = e2e[i];

@@ -31,6 +31,7 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc/registry.hpp"
@@ -83,13 +84,17 @@ HoldRow drain_uniform(network::NetEngine engine, mesh::Geometry geom,
       &delivered);
   des::Xoshiro256SS rng(0xB07 + static_cast<std::uint64_t>(geom.nodes()));
   const auto nodes = static_cast<std::uint64_t>(geom.nodes());
+  std::vector<std::pair<mesh::NodeId, mesh::NodeId>> pairs;
   for (int i = 0; i < npackets; ++i) {
     const auto s = static_cast<mesh::NodeId>(rng() % nodes);
     auto t = static_cast<mesh::NodeId>(rng() % nodes);
     if (t == s) t = static_cast<mesh::NodeId>((t + 1) % geom.nodes());
-    sim.schedule_at(static_cast<double>(i),
-                    [&net, s, t, i] { net.inject(s, t, static_cast<std::uint64_t>(i)); });
+    pairs.emplace_back(s, t);
   }
+  auto inject = [&](std::uint64_t i) { net.inject(pairs[i].first, pairs[i].second, i); };
+  for (int i = 0; i < npackets; ++i)
+    sim.schedule_at(static_cast<double>(i), des::owned(inject),
+                    static_cast<std::uint64_t>(i));
   const auto t0 = Clock::now();
   sim.run();
   const double secs = seconds_since(t0);

@@ -93,7 +93,12 @@ int main(int argc, char** argv) {
   std::uint64_t next_id = 0;
   char next_letter = 'A';
 
-  std::function<void()> try_start;  // self-referential: departures re-enter
+  std::function<void()> try_start;  // departures re-enter it
+  auto depart = [&](std::uint64_t jid) {
+    allocator->release(live.at(jid).placement);
+    live.erase(jid);
+    try_start();  // departures unblock the FCFS head
+  };
   try_start = [&] {
     while (!queue.empty()) {
       const auto [req, id] = queue.front();
@@ -103,12 +108,7 @@ int main(int argc, char** argv) {
       live.emplace(id, LiveJob{std::move(*placement), next_letter});
       next_letter = next_letter == 'Z' ? 'A' : static_cast<char>(next_letter + 1);
       const double hold = des::sample_exponential(rng, 600.0);
-      const std::uint64_t jid = id;
-      sim.schedule_in(hold, [&, jid] {
-        allocator->release(live.at(jid).placement);
-        live.erase(jid);
-        try_start();  // departures unblock the FCFS head
-      });
+      sim.schedule_in(hold, des::owned(depart), id);
     }
   };
 
@@ -118,15 +118,17 @@ int main(int argc, char** argv) {
     const auto [w, l] = workload::shape_for_processors(p, geom);
     queue.emplace_back(alloc::Request{w, l, p}, next_id++);
     try_start();
-    sim.schedule_in(des::sample_exponential(rng, 120.0), arrive);
+    sim.schedule_in(des::sample_exponential(rng, 120.0), des::owned(arrive));
   };
-  sim.schedule_in(0, arrive);
+  sim.schedule_in(0, des::owned(arrive));
 
   const double frame_dt = 1500;
-  for (int f = 1; f <= frames; ++f) {
-    const double at = f * frame_dt;
-    sim.schedule_at(at, [&, at] { print_frame(*allocator, live, at, queue.size()); });
-  }
+  auto frame = [&](std::uint64_t f) {
+    const double at = static_cast<double>(f) * frame_dt;
+    print_frame(*allocator, live, at, queue.size());
+  };
+  for (int f = 1; f <= frames; ++f)
+    sim.schedule_at(f * frame_dt, des::owned(frame), static_cast<std::uint64_t>(f));
   sim.run_until(frames * frame_dt + 1);
   return 0;
 }

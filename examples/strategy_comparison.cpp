@@ -44,6 +44,13 @@ int main(int argc, char** argv) {
     else
       passthrough.push_back(argv[i]);
   }
+  const core::RunOptions opts = core::run_options_or_exit(
+      static_cast<int>(passthrough.size()), passthrough.data());
+  // Every rejection below is one stderr line and exit 2, before any run.
+  const auto reject = [&](const std::string& what) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], what.c_str());
+    return 2;
+  };
   std::vector<std::string> sched_names;
   {
     std::istringstream in(sched_arg);
@@ -51,12 +58,7 @@ int main(int argc, char** argv) {
     while (std::getline(in, token, ','))
       if (!token.empty()) sched_names.push_back(token);
   }
-  if (sched_names.empty()) {
-    std::fprintf(stderr, "--sched needs at least one policy\n");
-    return 1;
-  }
-  const core::RunOptions opts = core::run_options_or_exit(
-      static_cast<int>(passthrough.size()), passthrough.data());
+  if (sched_names.empty()) return reject("--sched needs at least one policy");
 
   core::ExperimentConfig cfg;
   cfg.sys.geom = mesh::Geometry(16, 22);
@@ -68,16 +70,15 @@ int main(int argc, char** argv) {
   cfg.workload.load = 0.02;
   cfg.seed = opts.seed;
   if (!workload_spec.empty()) {
-    // Through the shared fail-fast entry point (unknown kinds exit listing
-    // the known ones); the driver's job cap survives a registry spec.
+    // Through the shared fail-fast entry point (unknown kinds list the known
+    // ones); this program's job cap survives a registry spec.
     const std::size_t cap = cfg.workload.job_count;
     core::ExperimentSpecStrings axes;
     axes.workload = workload_spec;
     try {
       core::apply_experiment_spec(axes, cfg);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
+      return reject(e.what());
     }
     if (cfg.workload.job_count == 0) cfg.workload.job_count = cap;
   }
@@ -85,6 +86,26 @@ int main(int argc, char** argv) {
   // Every strategy the registry knows, by name — the same names
   // `procsim_sweep --alloc=...` accepts.
   const char* names[] = {"GABL", "Paging(0)", "MBS", "Random", "FirstFit", "BestFit"};
+
+  const auto apply = [](const char* alloc, const std::string& sched,
+                        core::ExperimentConfig& c) {
+    core::ExperimentSpecStrings axes;
+    axes.alloc = alloc;
+    axes.sched = sched;
+    core::apply_experiment_spec(axes, c);
+  };
+  // Check every (policy, strategy) pair on a scratch config, so a bad name
+  // late in --sched fails before the first table row is printed.
+  for (const std::string& sched_name : sched_names) {
+    for (const char* name : names) {
+      core::ExperimentConfig probe = cfg;
+      try {
+        apply(name, sched_name, probe);
+      } catch (const std::exception& e) {
+        return reject(e.what());
+      }
+    }
+  }
 
   std::printf("%s workload, 16x22 mesh, all-to-all\n\n",
               workload_spec.empty() ? "stochastic uniform (load 0.02)"
@@ -94,15 +115,7 @@ int main(int argc, char** argv) {
               "wait_p95", "sd_p99", "starved");
   for (const std::string& sched_name : sched_names) {
     for (const char* name : names) {
-      core::ExperimentSpecStrings axes;
-      axes.alloc = name;
-      axes.sched = sched_name;
-      try {
-        core::apply_experiment_spec(axes, cfg);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-      }
+      apply(name, sched_name, cfg);
       const core::RunMetrics m = core::run_once(cfg);
       std::printf("%-16s %12.1f %12.1f %8.3f %8.2f %10.2f %10.2f %10.1f %8.2f %8.0f\n",
                   cfg.series_label().c_str(), m.turnaround.mean(), m.service.mean(),

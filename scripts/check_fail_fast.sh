@@ -4,8 +4,8 @@
 #
 #   scripts/check_fail_fast.sh [BUILD_DIR]    # default: build
 #
-# Needs bench_alloc_scaling, bench_swf_replay, trace_replay_tool and
-# mesh_animation built in BUILD_DIR. Exit 2 rejections must print exactly one
+# Needs bench_alloc_scaling, bench_swf_replay, trace_replay_tool,
+# mesh_animation and strategy_comparison built in BUILD_DIR. Exit 2 rejections must print exactly one
 # stderr line; bench_alloc_scaling exits 1 and adds its usage line. No case
 # may print anything on stdout. Runs inside a temporary directory, so a
 # driver that wrongly starts working leaves no output files behind.
@@ -62,6 +62,13 @@ expect 2 1 "$b/trace_replay_tool: --load must be positive" "$b/trace_replay_tool
 usage="(usage: mesh_animation [gabl|paging|mbs|random] [frames])"
 expect 2 1 "mesh_animation: unknown strategy 'bogus' $usage" "$b/mesh_animation" bogus
 expect 2 1 "mesh_animation: malformed number in abc $usage" "$b/mesh_animation" gabl abc
+
+known_sched="(known: FCFS, SSD, SJF, LJF, lookahead:<k>, backfill[:conservative][;shape])"
+expect 2 1 "$b/strategy_comparison: unknown scheduler 'bogus' $known_sched" \
+  "$b/strategy_comparison" --sched=FCFS,bogus
+known_workload="(known: uniform, exponential, real, swf:<path>, saturation, bursty)"
+expect 2 1 "$b/strategy_comparison: unknown workload 'bogus' $known_workload" \
+  "$b/strategy_comparison" --workload=bogus
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures fail-fast check(s) failed"

@@ -80,6 +80,7 @@ core::RunMetrics ClusterSim::run(workload::Source& source) {
   turnaround_ = stats::Welford{};
   service_ = stats::Welford{};
   inbound_.assign(meshes_.size(), 0);
+  migrating_.clear();
 
   source_ = &source;
   pump_arrival();
@@ -143,14 +144,18 @@ void ClusterSim::pump_arrival() {
   if (!next) return;
   if (*next < sim_.now())
     throw std::invalid_argument("ClusterSim: source arrivals must be non-decreasing");
-  sim_.schedule_at(*next, [this] {
-    std::optional<workload::Job> job = source_->next_job();
-    if (!job || job->arrival != sim_.now())
-      throw std::logic_error(
-          "ClusterSim: source next_job() missing or not at its peek_arrival() time");
-    pump_arrival();
-    dispatch(std::move(*job));
-  });
+  sim_.schedule_at(
+      *next, {[](void* self, std::uint64_t) { static_cast<ClusterSim*>(self)->arrive(); },
+              this});
+}
+
+void ClusterSim::arrive() {
+  std::optional<workload::Job> job = source_->next_job();
+  if (!job || job->arrival != sim_.now())
+    throw std::logic_error(
+        "ClusterSim: source next_job() missing or not at its peek_arrival() time");
+  pump_arrival();
+  dispatch(std::move(*job));
 }
 
 void ClusterSim::dispatch(workload::Job job) {
@@ -236,10 +241,14 @@ void ClusterSim::maybe_migrate(std::size_t receiver) {
   // The job travels: it re-queues on the receiver only after the modeled
   // migration latency. Exactly one copy exists throughout — it left the
   // donor's arena above and enters the receiver's at submit time.
-  sim_.schedule_in(cfg_.spec.migrate_latency, [this, receiver, j = std::move(*job)] {
-    --inbound_[receiver];
-    meshes_[receiver]->submit(j);
-  });
+  const des::EventFn land = [](void* self, std::uint64_t id) {
+    auto& cluster = *static_cast<ClusterSim*>(self);
+    Migration m = cluster.migrating_.take(id);
+    --cluster.inbound_[m.receiver];
+    cluster.meshes_[m.receiver]->submit(std::move(m.job));
+  };
+  sim_.schedule_in(cfg_.spec.migrate_latency, {land, this},
+                   migrating_.put(Migration{receiver, std::move(*job)}));
 }
 
 }  // namespace procsim::cluster

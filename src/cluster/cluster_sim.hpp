@@ -8,6 +8,7 @@
 #include "cluster/cluster_spec.hpp"
 #include "cluster/dispatcher.hpp"
 #include "core/system_sim.hpp"
+#include "des/payload_table.hpp"
 #include "des/simulator.hpp"
 #include "sched/registry.hpp"
 #include "stats/welford.hpp"
@@ -70,7 +71,17 @@ class ClusterSim {
  private:
   struct MeshUnit;  ///< allocator + scheduler + SystemSim, one per mesh
 
+  /// A job travelling between meshes (migrate=steal), parked for the
+  /// modeled migration latency.
+  struct Migration {
+    std::size_t receiver{0};
+    workload::Job job;
+  };
+
+  /// Schedules the source's next arrival instant (if any).
   void pump_arrival();
+  /// The arrival event: pulls the job the source promised for now().
+  void arrive();
   void dispatch(workload::Job job);
   /// The completion hook target (see SystemSim::CompletionHook).
   static void on_mesh_complete(void* ctx, core::SystemSim& mesh,
@@ -94,6 +105,7 @@ class ClusterSim {
   std::vector<MeshLoadView> loads_;        ///< scratch for dispatch decisions
   std::vector<std::size_t> eligible_;      ///< scratch for dispatch decisions
   std::vector<std::int32_t> inbound_;      ///< in-flight migrations per mesh
+  des::PayloadTable<Migration> migrating_;  ///< jobs between donor and receiver
   stats::Welford turnaround_;
   stats::Welford service_;
   std::uint64_t completed_{0};

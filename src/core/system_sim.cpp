@@ -70,6 +70,7 @@ void SystemSim::begin_run() {
   busy_procs_ = stats::TimeWeighted{};
   queue_len_ = stats::TimeWeighted{};
   rng_ = des::Xoshiro256SS{cfg_.seed};
+  paced_sends_.clear();
   net_ = std::make_unique<network::WormholeNetwork>(*sim_, cfg_.geom, cfg_.net);
   // Captureless-lambda-to-function-pointer: the per-delivery dispatch is a
   // raw call through (fn, ctx), not a type-erased std::function.
@@ -158,14 +159,18 @@ void SystemSim::pump_arrival() {
   // The next arrival is scheduled *before* this one's side effects run (see
   // the call site in the arrival event), preserving the event order of the
   // historical schedule-all-arrivals-up-front implementation.
-  sim_->schedule_at(*next, [this] {
-    std::optional<workload::Job> job = source_->next_job();
-    if (!job || job->arrival != sim_->now())
-      throw std::logic_error(
-          "SystemSim: source next_job() missing or not at its peek_arrival() time");
-    pump_arrival();
-    on_arrival(std::move(*job));
-  });
+  sim_->schedule_at(
+      *next, {[](void* self, std::uint64_t) { static_cast<SystemSim*>(self)->arrive(); },
+              this});
+}
+
+void SystemSim::arrive() {
+  std::optional<workload::Job> job = source_->next_job();
+  if (!job || job->arrival != sim_->now())
+    throw std::logic_error(
+        "SystemSim: source next_job() missing or not at its peek_arrival() time");
+  pump_arrival();
+  on_arrival(std::move(*job));
 }
 
 void SystemSim::on_arrival(workload::Job job) {
@@ -196,10 +201,12 @@ void SystemSim::request_schedule() {
   // into the already-registered batch-end action. The flag clears before the
   // pass runs so job starts *inside* the pass (which may complete instantly
   // at the same timestamp) can re-request and extend the batch.
-  sim_->at_batch_end([this] {
-    pass_pending_ = false;
-    try_schedule();
-  });
+  const des::EventFn pass = [](void* self, std::uint64_t) {
+    auto& sys = *static_cast<SystemSim*>(self);
+    sys.pass_pending_ = false;
+    sys.try_schedule();
+  };
+  sim_->at_batch_end({pass, this});
 }
 
 const workload::Job& SystemSim::queued_job(std::uint64_t job_id) const {
@@ -290,7 +297,10 @@ void SystemSim::start_job(JobArena::Slot slot, alloc::Placement placement) {
     // packet's worth of work (a zero-hop traversal).
     const double nominal = static_cast<double>(net_->base_latency_cycles(0));
     arena_.outstanding(slot) = 0;
-    sim_->schedule_in(nominal, [this, slot] { complete_job(slot); });
+    const des::EventFn done = [](void* self, std::uint64_t s) {
+      static_cast<SystemSim*>(self)->complete_job(static_cast<JobArena::Slot>(s));
+    };
+    sim_->schedule_in(nominal, {done, this}, slot);
     return;
   }
 
@@ -320,13 +330,16 @@ void SystemSim::on_delivery(const network::Delivery& d) {
   // The source that just completed a send issues its next message after the
   // (optional) compute gap.
   if (const auto next_dst = arena_.streams(slot).advance(d.src)) {
-    const mesh::NodeId src = d.src;
-    const mesh::NodeId dst = *next_dst;
     if (cfg_.think_time > 0) {
-      sim_->schedule_in(cfg_.think_time,
-                       [this, src, dst, slot] { net_->inject(src, dst, slot); });
+      const des::EventFn send = [](void* self, std::uint64_t id) {
+        auto& sys = *static_cast<SystemSim*>(self);
+        const PacedSend m = sys.paced_sends_.take(id);
+        sys.net_->inject(m.src, m.dst, m.slot);
+      };
+      sim_->schedule_in(cfg_.think_time, {send, this},
+                        paced_sends_.put(PacedSend{d.src, *next_dst, slot}));
     } else {
-      net_->inject(src, dst, slot);
+      net_->inject(d.src, *next_dst, slot);
     }
   }
 
@@ -422,7 +435,11 @@ void SystemSim::sample_telemetry() {
   // jobs or pending arrivals. Without it an unbounded reschedule would keep
   // the event queue non-empty forever on runs that end by draining.
   if (arena_.active() > 0 || (source_ != nullptr && source_->peek_arrival()))
-    sim_->schedule_in(sampler.interval(), [this] { sample_telemetry(); });
+    sim_->schedule_in(sampler.interval(),
+                      {[](void* self, std::uint64_t) {
+                         static_cast<SystemSim*>(self)->sample_telemetry();
+                       },
+                       this});
 }
 
 }  // namespace procsim::core

@@ -9,6 +9,7 @@
 #include "alloc/allocator.hpp"
 #include "core/job_arena.hpp"
 #include "core/metrics_sink.hpp"
+#include "des/payload_table.hpp"
 #include "des/rng.hpp"
 #include "des/simulator.hpp"
 #include "network/traffic.hpp"
@@ -196,6 +197,8 @@ class SystemSim {
                     std::chrono::steady_clock::time_point wall_start);
   /// Schedules the source's next arrival instant (if any).
   void pump_arrival();
+  /// The arrival event: pulls the job the source promised for now().
+  void arrive();
   void on_arrival(workload::Job job);
   /// The waiting job behind a queue entry; throws if the record is missing.
   [[nodiscard]] const workload::Job& queued_job(std::uint64_t job_id) const;
@@ -228,6 +231,13 @@ class SystemSim {
   workload::Source* source_{nullptr};  ///< the run's job stream (non-owning)
   std::unique_ptr<network::WormholeNetwork> net_;
   des::Xoshiro256SS rng_{1};
+  /// A message a source sends once its think time has passed.
+  struct PacedSend {
+    mesh::NodeId src{0};
+    mesh::NodeId dst{0};
+    JobArena::Slot slot{0};
+  };
+  des::PayloadTable<PacedSend> paced_sends_;  ///< think-time injections in flight
   /// Every resident job (queued or running): slot-reused, SoA hot fields,
   /// slot index == network tag. Messages one processor sends are paced
   /// one-at-a-time (blocking sends, see StreamSet); all of a job's sources

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "util/verify.hpp"
 
@@ -18,6 +17,9 @@ constexpr std::size_t kMinBuckets = 16;
 constexpr std::size_t kMaxBuckets = std::size_t{1} << 22;
 constexpr std::size_t kGrowFactor = 2;
 constexpr std::size_t kShrinkDivisor = 4;
+// Virtual slots are clamped to ±2^62, so the scan cursor can step a whole
+// year past the clamp without overflowing an int64.
+constexpr double kSlotLimit = 0x1p62;
 
 [[nodiscard]] std::size_t pow2_at_least(std::size_t n) {
   std::size_t p = kMinBuckets;
@@ -39,31 +41,35 @@ EventQueue::EventQueue(EventEngine engine)
   if (engine_ != EventEngine::kHeap) buckets_.resize(kMinBuckets);
 }
 
-double EventQueue::slot_of(SimTime time) const noexcept {
-  return std::floor(time / width_);
+std::int64_t EventQueue::slot_of(SimTime time) const noexcept {
+  const double s = time * inv_width_;
+  return static_cast<std::int64_t>(s < -kSlotLimit ? -kSlotLimit
+                                                   : (s > kSlotLimit ? kSlotLimit : s));
 }
 
-std::size_t EventQueue::bucket_of_slot(double slot) const noexcept {
-  // fmod is exact for doubles, so arbitrarily large virtual slot numbers
-  // (huge times over a small width) still map to a stable bucket; the slot
-  // value itself keeps the year, which is what preserves pop order.
-  double m = std::fmod(slot, static_cast<double>(buckets_.size()));
-  if (m < 0) m += static_cast<double>(buckets_.size());
-  return static_cast<std::size_t>(m);
+void EventQueue::set_width(double width) noexcept {
+  // A width whose inverse is not finite (a subnormal spread) would turn
+  // time 0 into a NaN slot; keep the current geometry instead.
+  const double inv = 1.0 / width;
+  if (!(width > 0) || !std::isfinite(inv)) return;
+  width_ = width;
+  inv_width_ = inv;
 }
 
-void EventQueue::push(SimTime time, EventAction action) {
-  Event ev{time, next_seq_++, std::move(action)};
+void EventQueue::push(SimTime time, Handler h, std::uint64_t arg) {
+  if (!std::isfinite(time))
+    throw std::invalid_argument("EventQueue: event time must be finite");
+  const Event ev{time, next_seq_++, h.fire, h.ctx, arg};
   switch (engine_) {
     case EventEngine::kHeap:
-      heap_push(std::move(ev));
+      heap_push(ev);
       break;
     case EventEngine::kCalendar:
-      calendar_push(time, std::move(ev));
+      calendar_push(ev);
       break;
     case EventEngine::kCrossCheck:
-      heap_push(Event{time, ev.seq, nullptr});  // shadow key, no action copy
-      calendar_push(time, std::move(ev));
+      heap_push(Event{time, ev.seq, nullptr, nullptr, 0});  // shadow key only
+      calendar_push(ev);
       break;
   }
   ++size_;
@@ -108,6 +114,7 @@ void EventQueue::clear() {
   if (engine_ != EventEngine::kHeap) buckets_.resize(kMinBuckets);
   heap_.clear();
   width_ = 1.0;
+  inv_width_ = 1.0;
   cur_slot_ = 0;
   cur_bucket_ = 0;
   size_ = 0;
@@ -119,8 +126,8 @@ void EventQueue::clear() {
 // Calendar engine
 // ---------------------------------------------------------------------------
 
-void EventQueue::calendar_push(SimTime time, Event ev) {
-  const double slot = slot_of(time);
+void EventQueue::calendar_push(const Event& ev) {
+  const std::int64_t slot = slot_of(ev.time);
   if (size_ == 0 || slot < cur_slot_) {
     // The scan cursor never sits past a pending event: rewinding here is
     // what keeps the pop-side invariant (`no pending event lives in a slot
@@ -134,7 +141,10 @@ void EventQueue::calendar_push(SimTime time, Event ev) {
   // common insertion point is the end.
   std::size_t pos = b.items.size();
   while (pos > b.head && event_before(ev, b.items[pos - 1])) --pos;
-  b.items.insert(b.items.begin() + static_cast<std::ptrdiff_t>(pos), std::move(ev));
+  if (pos == b.items.size())
+    b.items.push_back(ev);
+  else
+    b.items.insert(b.items.begin() + static_cast<std::ptrdiff_t>(pos), ev);
 }
 
 std::size_t EventQueue::find_min_bucket() const {
@@ -145,12 +155,13 @@ std::size_t EventQueue::find_min_bucket() const {
     // maps to exactly one bucket — so a hit here is the global minimum.
     if (!b.drained() && slot_of(b.front().time) <= cur_slot_)
       return cur_bucket_;
-    cur_slot_ += 1.0;  // may stall at 2^53; the year bound below saves us
-    cur_bucket_ = cur_bucket_ + 1 == buckets_.size() ? 0 : cur_bucket_ + 1;
+    ++cur_slot_;
+    cur_bucket_ = (cur_bucket_ + 1) & (buckets_.size() - 1);
   }
-  // A whole year without a due event (sparse far-future pending set, or a
-  // slot counter too large to increment): locate the minimum directly and
-  // resync the cursor. O(buckets), amortized away by re-bucketing.
+  // A whole year without a due event (a sparse far-future pending set, such
+  // as times past 2^53 at width 1, which lie at least two slots apart):
+  // locate the minimum directly and resync the cursor. O(buckets), amortized
+  // away by re-bucketing.
   const Bucket* best = nullptr;
   std::size_t best_idx = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
@@ -168,7 +179,7 @@ std::size_t EventQueue::find_min_bucket() const {
 
 Event EventQueue::calendar_pop() {
   Bucket& b = buckets_[find_min_bucket()];
-  Event out = std::move(b.items[b.head]);
+  const Event out = b.items[b.head];
   ++b.head;
   if (b.drained()) {
     b.items.clear();  // reclaims the popped prefix, keeps capacity
@@ -189,7 +200,7 @@ void EventQueue::rebucket(std::size_t new_bucket_count) {
   scratch.reserve(size_);
   for (Bucket& b : buckets_)
     for (std::size_t i = b.head; i < b.items.size(); ++i)
-      scratch.push_back(std::move(b.items[i]));
+      scratch.push_back(b.items[i]);
   buckets_.assign(new_bucket_count, Bucket{});
 
   // Width from the event-time spread, robust to far-future outliers: the
@@ -207,7 +218,7 @@ void EventQueue::rebucket(std::size_t new_bucket_count) {
     if (span > 0) {
       const double covered =
           0.8 * static_cast<double>(scratch.size());  // events inside [lo, hi]
-      width_ = span / std::max(1.0, covered);
+      set_width(span / std::max(1.0, covered));
     }
     // span == 0 (clustered timestamps): keep the current width.
   }
@@ -215,7 +226,7 @@ void EventQueue::rebucket(std::size_t new_bucket_count) {
   double min_time = 0;
   std::uint64_t min_seq = 0;
   bool have_min = false;
-  for (Event& ev : scratch) {
+  for (const Event& ev : scratch) {
     if (!have_min || ev.time < min_time ||
         (ev.time == min_time && ev.seq < min_seq)) {
       min_time = ev.time;
@@ -225,8 +236,7 @@ void EventQueue::rebucket(std::size_t new_bucket_count) {
     Bucket& b = buckets_[bucket_of_slot(slot_of(ev.time))];
     std::size_t pos = b.items.size();
     while (pos > 0 && event_before(ev, b.items[pos - 1])) --pos;
-    b.items.insert(b.items.begin() + static_cast<std::ptrdiff_t>(pos),
-                   std::move(ev));
+    b.items.insert(b.items.begin() + static_cast<std::ptrdiff_t>(pos), ev);
   }
   cur_slot_ = have_min ? slot_of(min_time) : 0;
   cur_bucket_ = bucket_of_slot(cur_slot_);
@@ -238,14 +248,14 @@ void EventQueue::rebucket(std::size_t new_bucket_count) {
 // UB-adjacent — pop_heap hands the element back legitimately.
 // ---------------------------------------------------------------------------
 
-void EventQueue::heap_push(Event ev) {
-  heap_.push_back(std::move(ev));
+void EventQueue::heap_push(const Event& ev) {
+  heap_.push_back(ev);
   std::push_heap(heap_.begin(), heap_.end(), EventLater{});
 }
 
 Event EventQueue::heap_pop() {
   std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-  Event out = std::move(heap_.back());
+  const Event out = heap_.back();
   heap_.pop_back();
   return out;
 }

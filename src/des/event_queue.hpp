@@ -32,8 +32,9 @@ class EventQueue {
  public:
   explicit EventQueue(EventEngine engine = EventEngine::kCalendar);
 
-  /// Schedules `action` to fire at absolute time `time`.
-  void push(SimTime time, EventAction action);
+  /// Schedules `h` to fire with `arg` at absolute time `time`. Throws
+  /// std::invalid_argument when `time` is NaN or infinite.
+  void push(SimTime time, Handler h, std::uint64_t arg = 0);
 
   /// Removes and returns the earliest event. Precondition: !empty().
   [[nodiscard]] Event pop();
@@ -74,7 +75,7 @@ class EventQueue {
   };
 
   // -- calendar engine --------------------------------------------------
-  void calendar_push(SimTime time, Event ev);
+  void calendar_push(const Event& ev);
   [[nodiscard]] Event calendar_pop();
   /// Positions cur_slot_/cur_bucket_ on the bucket holding the earliest
   /// pending event (the calendar scan; falls back to a direct search after
@@ -82,11 +83,22 @@ class EventQueue {
   /// scan cursor moves, never an event.
   std::size_t find_min_bucket() const;
   void rebucket(std::size_t new_bucket_count);
-  [[nodiscard]] double slot_of(SimTime time) const noexcept;
-  [[nodiscard]] std::size_t bucket_of_slot(double slot) const noexcept;
+  void set_width(double width) noexcept;
+  /// The virtual slot of `time`: time × (1 / width), truncated to an
+  /// integer and clamped to ±2^62. Every step is monotone in time, so a
+  /// later event never sits in an earlier slot, which is all pop order
+  /// needs; events beyond the clamp share one slot and stay (time, seq)
+  /// sorted inside its bucket.
+  [[nodiscard]] std::int64_t slot_of(SimTime time) const noexcept;
+  [[nodiscard]] std::size_t bucket_of_slot(std::int64_t slot) const noexcept {
+    // The bucket count is a power of two: the slot's low bits are the
+    // bucket, also for negative slots (two's complement).
+    return static_cast<std::size_t>(static_cast<std::uint64_t>(slot) &
+                                    (buckets_.size() - 1));
+  }
 
   // -- heap engine (the oracle) -----------------------------------------
-  void heap_push(Event ev);
+  void heap_push(const Event& ev);
   [[nodiscard]] Event heap_pop();
 
   EventEngine engine_;
@@ -95,11 +107,12 @@ class EventQueue {
   // next_time() can advance it (the subsequent pop then hits immediately).
   std::vector<Bucket> buckets_;
   double width_{1.0};
-  mutable double cur_slot_{0};
+  double inv_width_{1.0};  ///< 1 / width_, so a slot costs one multiply
+  mutable std::int64_t cur_slot_{0};
   mutable std::size_t cur_bucket_{0};
 
   // Heap state: a std::push_heap/std::pop_heap min-heap on EventLater. In
-  // kCrossCheck the calendar holds the actions and this shadow holds bare
+  // kCrossCheck the calendar holds the events and this shadow holds bare
   // (time, seq) keys for the pop-order identity assertion.
   std::vector<Event> heap_;
 

@@ -10,8 +10,8 @@ void Simulator::flush_batch() {
          (queue_.empty() || queue_.next_time() > now_)) {
     batch_scratch_.clear();
     std::swap(batch_scratch_, batch_end_);
-    for (EventAction& action : batch_scratch_) {
-      action();
+    for (const Event& action : batch_scratch_) {
+      action.invoke();
       if (stopped_) break;
     }
   }
@@ -21,9 +21,9 @@ std::uint64_t Simulator::run(std::uint64_t max_events) {
   std::uint64_t fired = 0;
   stopped_ = false;
   while (!queue_.empty() && !stopped_ && fired < max_events) {
-    Event ev = queue_.pop();
+    const Event ev = queue_.pop();
     now_ = ev.time;
-    ev.action();
+    ev.invoke();
     ++fired;
     ++executed_;
     // Timestamp exhausted: run the deferred batch-end work before the clock
@@ -39,9 +39,9 @@ std::uint64_t Simulator::run_until(SimTime horizon, std::uint64_t max_events) {
   stopped_ = false;
   while (!queue_.empty() && !stopped_ && fired < max_events &&
          queue_.next_time() <= horizon) {
-    Event ev = queue_.pop();
+    const Event ev = queue_.pop();
     now_ = ev.time;
-    ev.action();
+    ev.invoke();
     ++fired;
     ++executed_;
     if (!batch_end_.empty() && (queue_.empty() || queue_.next_time() > now_))

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "des/event_queue.hpp"
@@ -12,11 +11,12 @@ namespace procsim::des {
 
 /// Discrete-event simulation kernel: a clock plus a pending-event set.
 ///
-/// Components schedule closures at absolute or relative times; `run()` fires
-/// them in (time, insertion) order until the queue drains, `stop()` is
-/// called, or an event horizon is reached. The kernel itself holds no model
-/// state, which keeps every substrate (network, allocator, workload)
-/// independently testable against a bare Simulator.
+/// Components schedule typed events (a Handler plus a 64-bit argument) at
+/// absolute or relative times; `run()` fires them in (time, insertion) order
+/// until the queue drains, `stop()` is called, or an event horizon is
+/// reached. The kernel itself holds no model state, which keeps every
+/// substrate (network, allocator, workload) independently testable against
+/// a bare Simulator.
 class Simulator {
  public:
   /// `engine` pins the event-queue engine for this kernel — how the benches
@@ -26,18 +26,19 @@ class Simulator {
   /// Current simulation time.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `action` at absolute time `when` (must be >= now()).
-  void schedule_at(SimTime when, EventAction action) {
+  /// Schedules `h` to fire with `arg` at absolute time `when`, which must be
+  /// finite and >= now(); anything else throws std::invalid_argument.
+  void schedule_at(SimTime when, Handler h, std::uint64_t arg = 0) {
     if (when < now_) throw std::invalid_argument("Simulator: scheduling into the past");
-    queue_.push(when, std::move(action));
+    queue_.push(when, h, arg);  // rejects NaN and +inf (-inf is in the past)
   }
 
-  /// Schedules `action` `delay` time units from now (delay >= 0).
-  void schedule_in(SimTime delay, EventAction action) {
-    schedule_at(now_ + delay, std::move(action));
+  /// Schedules `h` with `arg` `delay` time units from now (delay >= 0).
+  void schedule_in(SimTime delay, Handler h, std::uint64_t arg = 0) {
+    schedule_at(now_ + delay, h, arg);
   }
 
-  /// Defers `action` to the end of the current timestamp batch: it runs once
+  /// Defers `h(arg)` to the end of the current timestamp batch: it runs once
   /// every pending event at the current time has fired (before the clock
   /// advances), in registration order. Deferred actions may schedule new
   /// events — including at the current time, which keeps the batch open —
@@ -46,7 +47,9 @@ class Simulator {
   /// registers the pass once per timestamp instead of running it per event.
   /// Actions still pending when `stop()` ends a run are dropped, matching
   /// the pre-batching behaviour of work that never got to run.
-  void at_batch_end(EventAction action) { batch_end_.push_back(std::move(action)); }
+  void at_batch_end(Handler h, std::uint64_t arg = 0) {
+    batch_end_.push_back(Event{now_, 0, h.fire, h.ctx, arg});
+  }
 
   /// Runs until the event queue is empty, `stop()` is called, or more than
   /// `max_events` events have fired (guard against runaway models).
@@ -80,8 +83,8 @@ class Simulator {
   void flush_batch();
 
   EventQueue queue_;
-  std::vector<EventAction> batch_end_;
-  std::vector<EventAction> batch_scratch_;  ///< swap target during a flush
+  std::vector<Event> batch_end_;      ///< deferred actions, registration order
+  std::vector<Event> batch_scratch_;  ///< swap target during a flush
   SimTime now_{0};
   std::uint64_t executed_{0};
   bool stopped_{false};

@@ -20,6 +20,18 @@ std::size_t run_len_bucket(std::int32_t n) noexcept {
   return 5;
 }
 
+// The argument of a typed network event: a packet or channel index in the
+// low 32 bits, the epoch that must still match when it fires in the high 32.
+std::uint64_t pack(std::int32_t index, std::uint32_t epoch) noexcept {
+  return (static_cast<std::uint64_t>(epoch) << 32) | static_cast<std::uint32_t>(index);
+}
+std::int32_t index_of(std::uint64_t arg) noexcept {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(arg));
+}
+std::uint32_t epoch_of(std::uint64_t arg) noexcept {
+  return static_cast<std::uint32_t>(arg >> 32);
+}
+
 }  // namespace
 
 NetEngine parse_net_engine(std::string_view name) {
@@ -52,10 +64,12 @@ WormholeNetwork::WormholeNetwork(des::Simulator& sim, mesh::Geometry geom,
     return;
   }
   primary_ = std::make_unique<EngineState>();
+  primary_->net = this;
   primary_->stepped = (params_.engine == NetEngine::kStepped);
   primary_->channels.resize(n_channels);
   if (params_.engine == NetEngine::kVerify) {
     shadow_ = std::make_unique<EngineState>();
+    shadow_->net = this;
     shadow_->stepped = true;
     shadow_->shadow = true;
     shadow_->channels.resize(n_channels);
@@ -133,11 +147,13 @@ void WormholeNetwork::register_attempt(EngineState& st, std::int32_t pkt, double
 // a truncation bumps the packet's run epoch first.
 void WormholeNetwork::schedule_attempt(EngineState& st, std::int32_t pkt, double when) {
   const std::uint32_t e = st.pool[static_cast<std::size_t>(pkt)].run_epoch;
-  EngineState* sp = &st;
-  sim_.schedule_at(when, [this, sp, pkt, e] {
-    if (sp->pool[static_cast<std::size_t>(pkt)].run_epoch != e) return;
-    register_attempt(*sp, pkt, sim_.now());
-  });
+  const des::EventFn attempt = [](void* ctx, std::uint64_t arg) {
+    EngineState& s = *static_cast<EngineState*>(ctx);
+    const std::int32_t p = index_of(arg);
+    if (s.pool[static_cast<std::size_t>(p)].run_epoch != epoch_of(arg)) return;
+    s.net->register_attempt(s, p, s.net->sim_.now());
+  };
+  sim_.schedule_at(when, {attempt, &st}, pack(pkt, e));
 }
 
 // Inserts `pkt` into the waiter FIFO of its next path channel, keyed by
@@ -187,8 +203,11 @@ void WormholeNetwork::ensure_arbitration(EngineState& st) {
   const double now = sim_.now();
   if (st.arb_time == now) return;
   st.arb_time = now;
-  EngineState* sp = &st;
-  sim_.schedule_at(now, [this, sp] { run_pass(*sp); });
+  const des::EventFn pass = [](void* ctx, std::uint64_t) {
+    EngineState& s = *static_cast<EngineState*>(ctx);
+    s.net->run_pass(s);
+  };
+  sim_.schedule_at(now, {pass, &st});
 }
 
 // The canonical arbitration pass: runs once per network-active timestamp
@@ -212,10 +231,12 @@ void WormholeNetwork::run_pass(EngineState& st) {
   st.ejections.clear();
   if (params_.engine == NetEngine::kVerify && !verify_cmp_armed_) {
     verify_cmp_armed_ = true;
-    sim_.at_batch_end([this] {
-      verify_cmp_armed_ = false;
-      verify_compare_states();
-    });
+    const des::EventFn compare = [](void* ctx, std::uint64_t) {
+      auto& net = *static_cast<WormholeNetwork*>(ctx);
+      net.verify_cmp_armed_ = false;
+      net.verify_compare_states();
+    };
+    sim_.at_batch_end({compare, this});
   }
 }
 
@@ -334,12 +355,17 @@ void WormholeNetwork::start_run(EngineState& st, std::int32_t pkt, double t) {
   if (t_eject == t) {
     st.ejections.push_back({pkt, ej, e});  // flushed by this pass
   } else {
-    EngineState* sp = &st;
-    sim_.schedule_at(t_eject, [this, sp, pkt, e, ej] {
-      if (sp->pool[static_cast<std::size_t>(pkt)].run_epoch != e) return;
-      sp->ejections.push_back({pkt, ej, e});
-      ensure_arbitration(*sp);
-    });
+    // A matching epoch means the slot still holds this packet, so its
+    // ejection channel is still path.back().
+    const des::EventFn eject = [](void* ctx, std::uint64_t arg) {
+      EngineState& s = *static_cast<EngineState*>(ctx);
+      const std::int32_t q = index_of(arg);
+      const Packet& pk = s.pool[static_cast<std::size_t>(q)];
+      if (pk.run_epoch != epoch_of(arg)) return;
+      s.ejections.push_back({q, pk.path.back(), pk.run_epoch});
+      s.net->ensure_arbitration(s);
+    };
+    sim_.schedule_at(t_eject, {eject, &st}, pack(pkt, e));
   }
 }
 
@@ -413,15 +439,16 @@ void WormholeNetwork::set_release(EngineState& st, ChannelId cid, double when) {
 void WormholeNetwork::schedule_grant(EngineState& st, ChannelId cid, double when) {
   Channel& ch = st.channels[static_cast<std::size_t>(cid)];
   ch.grant_scheduled = true;
-  const std::uint32_t e = ch.epoch;
-  EngineState* sp = &st;
-  sim_.schedule_at(when, [this, sp, cid, e] {
-    Channel& c = sp->channels[static_cast<std::size_t>(cid)];
-    if (c.epoch != e) return;
-    c.grant_scheduled = false;
-    mark_dirty(*sp, cid);
-    ensure_arbitration(*sp);
-  });
+  const des::EventFn regrant = [](void* ctx, std::uint64_t arg) {
+    EngineState& s = *static_cast<EngineState*>(ctx);
+    const ChannelId c = index_of(arg);
+    Channel& chan = s.channels[static_cast<std::size_t>(c)];
+    if (chan.epoch != epoch_of(arg)) return;
+    chan.grant_scheduled = false;
+    s.net->mark_dirty(s, c);
+    s.net->ensure_arbitration(s);
+  };
+  sim_.schedule_at(when, {regrant, &st}, pack(cid, ch.epoch));
 }
 
 void WormholeNetwork::complete(EngineState& st, std::int32_t pkt, double t_eject) {
@@ -434,8 +461,11 @@ void WormholeNetwork::complete(EngineState& st, std::int32_t pkt, double t_eject
   for (std::int32_t d = h - 1; d >= 0; --d)
     set_release(st, p.path[static_cast<std::size_t>(len - 1 - d)],
                 t_done - static_cast<double>(d));
-  EngineState* sp = &st;
-  sim_.schedule_at(t_done, [this, sp, pkt] { deliver(*sp, pkt); });
+  const des::EventFn done = [](void* ctx, std::uint64_t arg) {
+    EngineState& s = *static_cast<EngineState*>(ctx);
+    s.net->deliver(s, index_of(arg));
+  };
+  sim_.schedule_at(t_done, {done, &st}, static_cast<std::uint32_t>(pkt));
 }
 
 void WormholeNetwork::deliver(EngineState& st, std::int32_t pkt) {
@@ -488,8 +518,12 @@ void WormholeNetwork::inject_analytic(mesh::NodeId src, mesh::NodeId dst,
   for (const ChannelId cid : path)
     busy_cycles_[static_cast<std::size_t>(cid)] += service;
   const double latency = static_cast<double>(base_latency_cycles(hops)) + wait;
-  const Delivery d{tag, src, dst, latency, wait, hops};
-  sim_.schedule_at(sim_.now() + latency, [this, d] { publish(d); });
+  const des::EventFn arrive = [](void* ctx, std::uint64_t arg) {
+    auto& net = *static_cast<WormholeNetwork*>(ctx);
+    net.publish(net.analytic_pending_.take(arg));
+  };
+  sim_.schedule_at(sim_.now() + latency, {arrive, this},
+                   analytic_pending_.put(Delivery{tag, src, dst, latency, wait, hops}));
 }
 
 void WormholeNetwork::verify_match(std::uint64_t id, const VerifyRec& rec) {
@@ -578,6 +612,7 @@ void WormholeNetwork::reset() {
   if (primary_ != nullptr) reset_state(*primary_);
   if (shadow_ != nullptr) reset_state(*shadow_);
   std::fill(busy_cycles_.begin(), busy_cycles_.end(), 0.0);
+  analytic_pending_.clear();
   verify_touched_.clear();
   verify_cmp_armed_ = false;
   metrics_.reset();

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "des/payload_table.hpp"
 #include "des/simulator.hpp"
 #include "mesh/coord.hpp"
 #include "network/routing.hpp"
@@ -229,6 +230,7 @@ class WormholeNetwork {
   // One cycle engine's complete state. stepped/batched share all mechanics
   // except the continuation after a grant; kVerify instantiates two.
   struct EngineState {
+    WormholeNetwork* net{nullptr};  // the owner, for typed-event handlers
     bool stepped{false};
     bool shadow{false};  // verify shadow: no metrics/recorder/sink
     std::vector<Channel> channels;
@@ -283,6 +285,7 @@ class WormholeNetwork {
   std::unique_ptr<EngineState> primary_;
   std::unique_ptr<EngineState> shadow_;  // kVerify only
   std::vector<double> busy_cycles_;      // kAnalytic per-channel utilization
+  des::PayloadTable<Delivery> analytic_pending_;  // kAnalytic deliveries in flight
   std::unordered_map<std::uint64_t, VerifyRec> verify_pending_;
   std::vector<ChannelId> verify_touched_;  // channels to cross-check next
   bool verify_cmp_armed_{false};

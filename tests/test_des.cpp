@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <functional>
+#include <new>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "des/distributions.hpp"
@@ -8,34 +13,78 @@
 #include "des/simulator.hpp"
 #include "stats/welford.hpp"
 
+// Every global allocation in this test binary is counted, so a test can pin
+// that scheduling and firing events allocates nothing.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+// GCC flags free() on memory from operator new, not knowing that this
+// replacement's operator new is malloc.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 namespace {
 
 using procsim::des::EventQueue;
+using procsim::des::owned;
 using procsim::des::Simulator;
 using procsim::des::Xoshiro256SS;
 
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> fired;
-  q.push(3.0, [&] { fired.push_back(3); });
-  q.push(1.0, [&] { fired.push_back(1); });
-  q.push(2.0, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().action();
+  auto record = [&](std::uint64_t v) { fired.push_back(static_cast<int>(v)); };
+  q.push(3.0, owned(record), 3);
+  q.push(1.0, owned(record), 1);
+  q.push(2.0, owned(record), 2);
+  while (!q.empty()) q.pop().invoke();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, TiesFireInScheduleOrder) {
   EventQueue q;
   std::vector<int> fired;
-  for (int i = 0; i < 10; ++i) q.push(5.0, [&fired, i] { fired.push_back(i); });
-  while (!q.empty()) q.pop().action();
+  auto record = [&](std::uint64_t v) { fired.push_back(static_cast<int>(v)); };
+  for (int i = 0; i < 10; ++i) q.push(5.0, owned(record), static_cast<std::uint64_t>(i));
+  while (!q.empty()) q.pop().invoke();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
+}
+
+TEST(EventQueue, RejectsNonFiniteTimes) {
+  // A NaN event would fire and turn the clock into NaN; an infinite one
+  // would never be reached. Both are rejected before anything is queued.
+  EventQueue q;
+  int fired = 0;
+  auto count = [&] { ++fired; };
+  EXPECT_THROW(q.push(std::numeric_limits<double>::quiet_NaN(), owned(count)),
+               std::invalid_argument);
+  EXPECT_THROW(q.push(std::numeric_limits<double>::infinity(), owned(count)),
+               std::invalid_argument);
+  EXPECT_THROW(q.push(-std::numeric_limits<double>::infinity(), owned(count)),
+               std::invalid_argument);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.scheduled_count(), 0u);
+  EXPECT_EQ(fired, 0);
 }
 
 TEST(Simulator, ClockAdvancesToEventTime) {
   Simulator sim;
   double seen = -1;
-  sim.schedule_at(7.5, [&] { seen = sim.now(); });
+  auto probe = [&] { seen = sim.now(); };
+  sim.schedule_at(7.5, owned(probe));
   sim.run();
   EXPECT_DOUBLE_EQ(seen, 7.5);
   EXPECT_DOUBLE_EQ(sim.now(), 7.5);
@@ -44,10 +93,12 @@ TEST(Simulator, ClockAdvancesToEventTime) {
 TEST(Simulator, ScheduleInIsRelative) {
   Simulator sim;
   std::vector<double> times;
-  sim.schedule_at(2.0, [&] {
+  auto second = [&] { times.push_back(sim.now()); };
+  auto first = [&] {
     times.push_back(sim.now());
-    sim.schedule_in(3.0, [&] { times.push_back(sim.now()); });
-  });
+    sim.schedule_in(3.0, owned(second));
+  };
+  sim.schedule_at(2.0, owned(first));
   sim.run();
   ASSERT_EQ(times.size(), 2u);
   EXPECT_DOUBLE_EQ(times[1], 5.0);
@@ -55,20 +106,37 @@ TEST(Simulator, ScheduleInIsRelative) {
 
 TEST(Simulator, SchedulingIntoThePastThrows) {
   Simulator sim;
-  sim.schedule_at(10.0, [&] {
-    EXPECT_THROW(sim.schedule_at(5.0, [] {}), std::invalid_argument);
-  });
+  auto noop = [] {};
+  auto late = [&] { EXPECT_THROW(sim.schedule_at(5.0, owned(noop)), std::invalid_argument); };
+  sim.schedule_at(10.0, owned(late));
   sim.run();
+}
+
+TEST(Simulator, NonFiniteTimesThrow) {
+  Simulator sim;
+  bool fired = false;
+  auto mark = [&] { fired = true; };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(sim.schedule_at(nan, owned(mark)), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_at(inf, owned(mark)), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_at(-inf, owned(mark)), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_in(nan, owned(mark)), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_in(inf, owned(mark)), std::invalid_argument);
+  EXPECT_TRUE(sim.queue().empty());
+  sim.run();
+  EXPECT_FALSE(fired);
+  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
 }
 
 TEST(Simulator, StopHaltsExecution) {
   Simulator sim;
   int fired = 0;
-  for (int i = 1; i <= 100; ++i)
-    sim.schedule_at(i, [&] {
-      ++fired;
-      if (fired == 10) sim.stop();
-    });
+  auto tick = [&] {
+    ++fired;
+    if (fired == 10) sim.stop();
+  };
+  for (int i = 1; i <= 100; ++i) sim.schedule_at(i, owned(tick));
   sim.run();
   EXPECT_EQ(fired, 10);
   EXPECT_EQ(sim.queue().size(), 90u);
@@ -77,7 +145,8 @@ TEST(Simulator, StopHaltsExecution) {
 TEST(Simulator, RunUntilRespectsHorizon) {
   Simulator sim;
   int fired = 0;
-  for (int i = 1; i <= 10; ++i) sim.schedule_at(i, [&] { ++fired; });
+  auto tick = [&] { ++fired; };
+  for (int i = 1; i <= 10; ++i) sim.schedule_at(i, owned(tick));
   sim.run_until(5.0);
   EXPECT_EQ(fired, 5);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
@@ -87,7 +156,8 @@ TEST(Simulator, RunUntilRespectsHorizon) {
 
 TEST(Simulator, ResetClearsEverything) {
   Simulator sim;
-  sim.schedule_at(1.0, [] {});
+  auto noop = [] {};
+  sim.schedule_at(1.0, owned(noop));
   sim.run();
   sim.reset();
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
@@ -99,12 +169,14 @@ TEST(Simulator, BatchEndRunsOncePerTimestamp) {
   // whole t=1 batch, before the t=2 event.
   Simulator sim;
   std::vector<int> order;
-  for (int i = 0; i < 3; ++i)
-    sim.schedule_at(1.0, [&sim, &order, i] {
-      order.push_back(i);
-      sim.at_batch_end([&order, i] { order.push_back(10 + i); });
-    });
-  sim.schedule_at(2.0, [&order] { order.push_back(99); });
+  auto deferred = [&](std::uint64_t i) { order.push_back(10 + static_cast<int>(i)); };
+  auto event = [&](std::uint64_t i) {
+    order.push_back(static_cast<int>(i));
+    sim.at_batch_end(owned(deferred), i);
+  };
+  auto last = [&] { order.push_back(99); };
+  for (std::uint64_t i = 0; i < 3; ++i) sim.schedule_at(1.0, owned(event), i);
+  sim.schedule_at(2.0, owned(last));
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12, 99}));
 }
@@ -114,17 +186,22 @@ TEST(Simulator, BatchEndActionKeepsBatchOpenWhenSchedulingAtNow) {
   // batch reopens and the second deferral still runs before time advances.
   Simulator sim;
   std::vector<int> order;
-  sim.schedule_at(1.0, [&] {
+  auto fourth = [&] { order.push_back(3); };
+  auto third = [&] {
+    order.push_back(2);
+    sim.at_batch_end(owned(fourth));
+  };
+  auto second = [&] {
+    order.push_back(1);
+    sim.schedule_at(1.0, owned(third));
+  };
+  auto first = [&] {
     order.push_back(0);
-    sim.at_batch_end([&] {
-      order.push_back(1);
-      sim.schedule_at(1.0, [&] {
-        order.push_back(2);
-        sim.at_batch_end([&] { order.push_back(3); });
-      });
-    });
-  });
-  sim.schedule_at(2.0, [&order] { order.push_back(99); });
+    sim.at_batch_end(owned(second));
+  };
+  auto last = [&] { order.push_back(99); };
+  sim.schedule_at(1.0, owned(first));
+  sim.schedule_at(2.0, owned(last));
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 99}));
 }
@@ -132,15 +209,18 @@ TEST(Simulator, BatchEndActionKeepsBatchOpenWhenSchedulingAtNow) {
 TEST(Simulator, BatchEndDroppedOnStop) {
   Simulator sim;
   bool deferred_ran = false;
-  sim.schedule_at(1.0, [&] {
-    sim.at_batch_end([&] { deferred_ran = true; });
+  auto deferred = [&] { deferred_ran = true; };
+  auto stopper = [&] {
+    sim.at_batch_end(owned(deferred));
     sim.stop();
-  });
+  };
+  sim.schedule_at(1.0, owned(stopper));
   sim.run();
   EXPECT_FALSE(deferred_ran);
   // reset() forgets the dropped action: it must not leak into the next run.
   sim.reset();
-  sim.schedule_at(1.0, [] {});
+  auto noop = [] {};
+  sim.schedule_at(1.0, owned(noop));
   sim.run();
   EXPECT_FALSE(deferred_ran);
 }
@@ -148,10 +228,41 @@ TEST(Simulator, BatchEndDroppedOnStop) {
 TEST(Simulator, MaxEventsGuard) {
   Simulator sim;
   // A self-rescheduling event would run forever without the guard.
-  std::function<void()> tick = [&] { sim.schedule_in(1.0, tick); };
-  sim.schedule_at(0.0, tick);
+  std::function<void()> tick = [&] { sim.schedule_in(1.0, owned(tick)); };
+  sim.schedule_at(0.0, owned(tick));
   const auto fired = sim.run(1000);
   EXPECT_EQ(fired, 1000u);
+}
+
+/// One self-rescheduling event chain that also defers a batch-end action
+/// per event: the shape of the model's event traffic, on raw handlers.
+struct Chain {
+  Simulator* sim;
+  std::uint64_t fired{0};
+  std::uint64_t deferred{0};
+
+  static void on_event(void* ctx, std::uint64_t step) {
+    auto& c = *static_cast<Chain*>(ctx);
+    ++c.fired;
+    c.sim->at_batch_end({&on_batch_end, &c}, step);
+    c.sim->schedule_in(static_cast<double>(1 + step % 3), {&on_event, &c}, step + 1);
+  }
+  static void on_batch_end(void* ctx, std::uint64_t) { ++static_cast<Chain*>(ctx)->deferred; }
+};
+
+TEST(Simulator, SchedulingAllocatesNothingOnceWarm) {
+  // Events carry their payload in the 64-bit argument, so once the queue's
+  // buckets and the batch-end vectors hold their steady-state capacity, a
+  // long run allocates nothing at all.
+  Simulator sim;
+  Chain chain{&sim};
+  sim.schedule_at(0.0, {&Chain::on_event, &chain});
+  sim.run(200);  // warm-up: every bucket and vector reaches its capacity
+  const std::size_t before = g_allocations;
+  EXPECT_EQ(sim.run(20000), 20000u);
+  EXPECT_EQ(g_allocations, before);
+  EXPECT_EQ(chain.fired, 20200u);
+  EXPECT_EQ(chain.deferred, 20200u);
 }
 
 TEST(Rng, DeterministicForSeed) {

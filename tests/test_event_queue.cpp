@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "des/distributions.hpp"
@@ -19,8 +24,12 @@ namespace {
 
 using procsim::des::EventEngine;
 using procsim::des::EventQueue;
+using procsim::des::owned;
 using procsim::des::SimTime;
 using procsim::des::Xoshiro256SS;
+
+static_assert(std::is_trivially_copyable_v<procsim::des::Event> &&
+              sizeof(procsim::des::Event) <= 40);
 
 /// Mirrors every operation onto a calendar queue and a heap oracle and
 /// asserts pop-for-pop identity of (time, payload id). Payload ids are
@@ -29,20 +38,20 @@ using procsim::des::Xoshiro256SS;
 class MirroredQueues {
  public:
   void push(SimTime t) {
-    const int id = next_id_++;
-    calendar_.push(t, [this, id] { calendar_fired_.push_back(id); });
-    heap_.push(t, [this, id] { heap_fired_.push_back(id); });
+    const auto id = static_cast<std::uint64_t>(next_id_++);
+    calendar_.push(t, {&record, &calendar_fired_}, id);
+    heap_.push(t, {&record, &heap_fired_}, id);
   }
 
   void pop_and_check() {
     ASSERT_FALSE(calendar_.empty());
     ASSERT_FALSE(heap_.empty());
     ASSERT_DOUBLE_EQ(calendar_.next_time(), heap_.next_time());
-    auto ev_c = calendar_.pop();
-    auto ev_h = heap_.pop();
+    const auto ev_c = calendar_.pop();
+    const auto ev_h = heap_.pop();
     ASSERT_DOUBLE_EQ(ev_c.time, ev_h.time);
-    ev_c.action();
-    ev_h.action();
+    ev_c.invoke();
+    ev_h.invoke();
     ASSERT_EQ(calendar_fired_.back(), heap_fired_.back());
   }
 
@@ -63,6 +72,10 @@ class MirroredQueues {
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
  private:
+  static void record(void* fired, std::uint64_t id) {
+    static_cast<std::vector<int>*>(fired)->push_back(static_cast<int>(id));
+  }
+
   EventQueue calendar_{EventEngine::kCalendar};
   EventQueue heap_{EventEngine::kHeap};
   std::vector<int> calendar_fired_;
@@ -73,19 +86,21 @@ class MirroredQueues {
 TEST(CalendarQueue, OrdersByTime) {
   EventQueue q(EventEngine::kCalendar);
   std::vector<int> fired;
-  q.push(3.0, [&] { fired.push_back(3); });
-  q.push(1.0, [&] { fired.push_back(1); });
-  q.push(2.0, [&] { fired.push_back(2); });
+  auto record = [&](std::uint64_t v) { fired.push_back(static_cast<int>(v)); };
+  q.push(3.0, owned(record), 3);
+  q.push(1.0, owned(record), 1);
+  q.push(2.0, owned(record), 2);
   EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
-  while (!q.empty()) q.pop().action();
+  while (!q.empty()) q.pop().invoke();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(CalendarQueue, SameTimestampPopsInInsertionOrder) {
   EventQueue q(EventEngine::kCalendar);
   std::vector<int> fired;
-  for (int i = 0; i < 1000; ++i) q.push(5.0, [&fired, i] { fired.push_back(i); });
-  while (!q.empty()) q.pop().action();
+  auto record = [&](std::uint64_t v) { fired.push_back(static_cast<int>(v)); };
+  for (int i = 0; i < 1000; ++i) q.push(5.0, owned(record), static_cast<std::uint64_t>(i));
+  while (!q.empty()) q.pop().invoke();
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
 }
 
@@ -93,12 +108,13 @@ TEST(CalendarQueue, InterleavedTiesKeepScheduleOrder) {
   // Ties pushed in several rounds around pops: seq must still win.
   EventQueue q(EventEngine::kCalendar);
   std::vector<int> fired;
-  q.push(1.0, [&] { fired.push_back(0); });
-  q.push(2.0, [&] { fired.push_back(1); });
-  q.pop().action();                           // fires id 0 at t=1
-  q.push(2.0, [&] { fired.push_back(2); });   // tie with id 1, later seq
-  q.push(2.0, [&] { fired.push_back(3); });
-  while (!q.empty()) q.pop().action();
+  auto record = [&](std::uint64_t v) { fired.push_back(static_cast<int>(v)); };
+  q.push(1.0, owned(record), 0);
+  q.push(2.0, owned(record), 1);
+  q.pop().invoke();                  // fires id 0 at t=1
+  q.push(2.0, owned(record), 2);     // tie with id 1, later seq
+  q.push(2.0, owned(record), 3);
+  while (!q.empty()) q.pop().invoke();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
 }
 
@@ -157,6 +173,99 @@ TEST(CalendarQueue, RandomizedEquivalenceHugeJumps) {
   m.drain_and_check();
 }
 
+TEST(CalendarQueue, RandomizedEquivalenceFigureRegime) {
+  // The shape of the paper's 16x22 figure runs: a pending set of about 40
+  // events that surges to about 350 (a job start injecting its packets),
+  // many pushes at the current time (arbitration passes, same-cycle
+  // ejections) and same-timestamp bursts, over cycle-quantized and
+  // continuous times alike.
+  Xoshiro256SS rng(0xF16);
+  MirroredQueues m;
+  double now = 0;
+  std::size_t peak = 0;
+  for (int step = 0; step < 120000; ++step) {
+    const std::size_t target = (step / 6000) % 4 == 3 ? 350 : 40;
+    if (m.size() == 0 || (m.size() < target && rng.next_double() < 0.6)) {
+      const double u = rng.next_double();
+      if (u < 0.3) {
+        m.push(now);
+      } else if (u < 0.35) {
+        const double at = now + static_cast<double>(
+                                    procsim::des::sample_uniform_int(rng, 0, 12));
+        const auto burst = procsim::des::sample_uniform_int(rng, 5, 20);
+        for (std::int64_t k = 0; k < burst; ++k) m.push(at);
+      } else {
+        double delay = std::floor(procsim::des::sample_exponential(rng, 40.0));
+        if (rng.next_double() < 0.5) delay += rng.next_double();
+        m.push(now + delay);
+      }
+    } else {
+      now = m.calendar().next_time();
+      m.pop_and_check();
+    }
+    peak = std::max(peak, m.size());
+  }
+  m.drain_and_check();
+  EXPECT_GE(peak, 300u);
+}
+
+TEST(CalendarQueue, SlotsStraddling2To53AndAWidthChange) {
+  // Below the first re-bucketing the width is 1, so times around 2^53 are
+  // slots around 2^53, where consecutive doubles are 2 apart. Then a surge
+  // of pushes re-buckets to a new width mid-run with those events pending,
+  // and the drain shrinks it again.
+  Xoshiro256SS rng(0x2053);
+  MirroredQueues m;
+  const double base = 0x1p53;
+  for (int step = 0; step < 4000; ++step) {
+    if (m.size() == 0 || (m.size() < 24 && rng.next_double() < 0.55)) {
+      const auto k = procsim::des::sample_uniform_int(rng, -64, 64);
+      m.push(base + static_cast<double>(k));
+    } else {
+      m.pop_and_check();
+    }
+  }
+  EXPECT_EQ(m.calendar().bucket_width(), 1.0);
+  EXPECT_EQ(m.calendar().rebucket_count(), 0u);
+
+  for (int i = 0; i < 400; ++i) {
+    m.push(base + rng.next_double() * 1e6);
+    if (i % 3 == 0) m.pop_and_check();
+  }
+  EXPECT_NE(m.calendar().bucket_width(), 1.0);
+  EXPECT_GT(m.calendar().rebucket_count(), 0u);
+  for (int i = 0; i < 200; ++i) {
+    const auto k = procsim::des::sample_uniform_int(rng, -64, 64);
+    m.push(base + static_cast<double>(k));
+    m.pop_and_check();
+  }
+  m.drain_and_check();
+}
+
+TEST(CalendarQueue, SlotsBeyondTheClampKeepOrder) {
+  // Times whose slot exceeds +-2^62 share one clamped slot per side; their
+  // bucket keeps them (time, seq) sorted, so pop order stays exact.
+  MirroredQueues m;
+  const double far[] = {1e19, 1e300, -1e300, 5e18, -7e18, 1e19, 0.0, 1e300, -1.0, 3.5};
+  for (int round = 0; round < 3; ++round) {
+    for (const double t : far) m.push(t);
+    for (int i = 0; i < 4; ++i) m.pop_and_check();
+  }
+  m.drain_and_check();
+}
+
+TEST(CalendarQueue, SubnormalSpreadKeepsTheWidth) {
+  // A pending set spread over a few subnormals estimates a width whose
+  // inverse overflows; the queue keeps its width rather than turn time 0
+  // into a NaN slot.
+  MirroredQueues m;
+  for (int i = 0; i < 100; ++i)
+    m.push(static_cast<double>(i % 7) * std::numeric_limits<double>::denorm_min());
+  EXPECT_GT(m.calendar().rebucket_count(), 0u);
+  EXPECT_EQ(m.calendar().bucket_width(), 1.0);
+  m.drain_and_check();
+}
+
 TEST(CalendarQueue, ClearAndReuseBetweenReplications) {
   Xoshiro256SS rng(0x5EED);
   MirroredQueues m;
@@ -181,8 +290,9 @@ TEST(CalendarQueue, GrowthAndShrinkRebucketing) {
   const std::size_t initial_buckets = q.bucket_count();
   Xoshiro256SS rng(7);
   double last = 0;
+  auto noop = [] {};
   for (int i = 0; i < 100000; ++i)
-    q.push(rng.next_double() * 1e6, [] {});
+    q.push(rng.next_double() * 1e6, owned(noop));
   EXPECT_GT(q.bucket_count(), initial_buckets);  // grew with the pending set
   while (!q.empty()) {
     const auto ev = q.pop();
@@ -197,15 +307,16 @@ TEST(CalendarQueue, CrossCheckModeAgreesOnRandomSchedule) {
   Xoshiro256SS rng(0xAB);
   double t = 0;
   int fired = 0;
+  auto count = [&fired] { ++fired; };
   for (int step = 0; step < 5000; ++step) {
     if (q.empty() || rng.next_double() < 0.55) {
       t += procsim::des::sample_exponential(rng, 1.0);
-      q.push(t, [&fired] { ++fired; });
+      q.push(t, owned(count));
     } else {
-      q.pop().action();  // throws std::logic_error on any divergence
+      q.pop().invoke();  // throws std::logic_error on any divergence
     }
   }
-  while (!q.empty()) q.pop().action();
+  while (!q.empty()) q.pop().invoke();
   EXPECT_GT(fired, 0);
 }
 
@@ -231,14 +342,18 @@ TEST(CalendarQueue, SimulatorRunsBitIdenticallyOnBothEngines) {
     EventQueue q(engine);
     Xoshiro256SS rng(42);
     std::vector<double> fired;
+    // Each event carries its own scheduled time, bit-cast into the argument.
+    auto record = [&fired](std::uint64_t bits) {
+      fired.push_back(std::bit_cast<double>(bits));
+    };
     double t = 0;
     for (int i = 0; i < 200; ++i) {
       t += procsim::des::sample_exponential(rng, 2.0);
-      q.push(t, [&fired, t] { fired.push_back(t); });
+      q.push(t, owned(record), std::bit_cast<std::uint64_t>(t));
     }
     while (!q.empty()) {
-      auto ev = q.pop();
-      ev.action();
+      const auto ev = q.pop();
+      ev.invoke();
     }
     traces.push_back(std::move(fired));
   }

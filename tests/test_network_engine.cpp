@@ -79,8 +79,12 @@ RunResult run_schedule(const std::vector<Injection>& schedule, Geometry geom,
                                  d.tag, d.src, d.dst});
       },
       &ctx);
-  for (const Injection& in : schedule)
-    sim.schedule_at(in.t, [&net, in] { net.inject(in.src, in.dst, in.tag); });
+  auto inject = [&](std::uint64_t k) {
+    const Injection& in = schedule[k];
+    net.inject(in.src, in.dst, in.tag);
+  };
+  for (std::size_t k = 0; k < schedule.size(); ++k)
+    sim.schedule_at(schedule[k].t, procsim::des::owned(inject), k);
   sim.run();
   EXPECT_EQ(net.in_flight(), 0u);
   RunResult r;
