@@ -2,169 +2,134 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
+
+#include "util/verify.hpp"
 
 namespace procsim::sched {
 
-namespace {
-
-/// Free processors as a right-continuous step function of time: avail(t) is
-/// the value of the last step at or before t, the final step extending to
-/// infinity. Built per conservative pass from the running set's estimated
-/// releases; reservations subtract capacity over their interval.
-class CapacityProfile {
- public:
-  CapacityProfile(double now, std::int64_t avail) { steps_.push_back({now, avail}); }
-
-  /// Capacity returning to the pool at `t` (>= the origin), e.g. a running
-  /// job's estimated release. Must be fed in non-decreasing `t` order.
-  void add_release(double t, std::int64_t procs) {
-    if (steps_.back().t == t) {
-      steps_.back().avail += procs;
-      return;
-    }
-    steps_.push_back({t, steps_.back().avail + procs});
-  }
-
-  /// Earliest start >= `from` at which `procs` processors stay available for
-  /// `duration`. Always exists: the final step has every reservation-free
-  /// processor back (a reservation-only subtraction ends).
-  [[nodiscard]] double earliest_fit(double from, std::int64_t procs,
-                                    double duration) const {
-    std::size_t i = step_at(from);
-    for (;;) {
-      const double start = std::max(from, steps_[i].t);
-      const double end = start + duration;
-      // Scan the steps the interval [start, end) overlaps.
-      std::size_t j = i;
-      bool ok = steps_[i].avail >= procs;
-      while (ok && j + 1 < steps_.size() && steps_[j + 1].t < end) {
-        ++j;
-        ok = steps_[j].avail >= procs;
-      }
-      if (ok) return start;
-      // Restart after the violating step.
-      i = j + 1;
-      if (i >= steps_.size()) return steps_.back().t;  // unreachable by contract
-    }
-  }
-
-  /// Subtracts `procs` over [t, t + duration) — a reservation.
-  void reserve(double t, double duration, std::int64_t procs) {
-    if (duration <= 0 || procs <= 0) return;
-    split_at(t);
-    split_at(t + duration);
-    for (std::size_t i = step_at(t); i < steps_.size() && steps_[i].t < t + duration;
-         ++i)
-      steps_[i].avail -= procs;
-  }
-
- private:
-  struct Step {
-    double t;
-    std::int64_t avail;
-  };
-
-  /// Index of the step active at `t` (t >= origin by construction).
-  [[nodiscard]] std::size_t step_at(double t) const {
-    std::size_t i = 0;
-    while (i + 1 < steps_.size() && steps_[i + 1].t <= t) ++i;
-    return i;
-  }
-
-  void split_at(double t) {
-    if (t <= steps_.front().t) return;
-    const std::size_t i = step_at(t);
-    if (steps_[i].t == t) return;
-    steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                  Step{t, steps_[i].avail});
-  }
-
-  std::vector<Step> steps_;
-};
-
-}  // namespace
-
 std::optional<std::size_t> BackfillScheduler::select(const AllocProbe& probe,
                                                      const SchedSnapshot& snap) {
-  return opts_.conservative ? select_conservative(probe, snap)
-                            : select_easy(probe, snap);
+  const bool use_shape = opts_.shape_aware && snap.shape_fit != nullptr;
+  // Same instant, same free count, same probe model, and nothing but tail
+  // arrivals since the last walk ended empty-handed (every other change
+  // cleared `valid`): the walked prefix would replay exactly, so skip it.
+  const std::size_t from = resume_.valid && resume_.now == snap.now &&
+                                   resume_.free_processors == snap.free_processors &&
+                                   resume_.use_shape == use_shape
+                               ? resume_.walked
+                               : 0;
+  resume_.valid = false;
+  const std::optional<std::size_t> pos =
+      opts_.conservative ? select_conservative(probe, snap, use_shape, from)
+                         : select_easy(probe, snap, use_shape, from);
+  if (from > 0 && util::verify_enabled()) verify_resume(probe, snap, use_shape, pos);
+  if (!pos) resume_ = Resume{true, snap.now, snap.free_processors, use_shape, size()};
+  return pos;
 }
 
 std::optional<std::size_t> BackfillScheduler::select_easy(const AllocProbe& probe,
-                                                          const SchedSnapshot& snap) {
-  if (empty()) return std::nullopt;
-  const QueuedJob head = job_at(0);
-  if (probe(head)) return 0;
-  const bool use_shape = opts_.shape_aware && snap.shape_fit != nullptr;
+                                                          const SchedSnapshot& snap,
+                                                          bool use_shape,
+                                                          std::size_t from) {
+  if (from == 0) {
+    if (empty()) return std::nullopt;
+    const QueuedJob head = job_at(0);
+    if (probe(head)) return 0;
+    head_ = easy_reservation(head, snap, use_shape);
+    // When even draining every running job cannot seat the head, there is
+    // no reservation to protect — plain first-fit backfill applies.
+    if (head_.reachable) first_reservation_.emplace(head.job_id, head_.shadow);
+    from = 1;
+  }
+  return easy_backfill(probe, snap, head_, from);
+}
 
+BackfillScheduler::HeadReservation BackfillScheduler::easy_reservation(
+    const QueuedJob& head, const SchedSnapshot& snap, bool use_shape) {
   // The head is blocked: place its reservation. Walk the running jobs in
   // estimated-finish order accumulating released processors until the head's
   // request is covered — and, shape-aware, until its sub-mesh actually fits
   // the projected occupancy; that instant is the shadow time, and whatever
   // exceeds the head's need there is the backfill slack ("extra"
   // processors).
-  double shadow = snap.now;
+  HeadReservation res{snap.now, 0, false};
   std::int64_t avail = snap.free_processors;
   const std::int64_t head_need = head.processors;
   released_scratch_.clear();
   // Right now the probe already failed, so shape-aware the head does not
   // fit; count-based it may (fragmentation), in which case the shadow stays
   // at `now` exactly as before.
-  bool reachable = !use_shape && avail >= head_need;
-  if (!reachable) {
+  res.reachable = !use_shape && avail >= head_need;
+  if (!res.reachable) {
     for (const Running& r : running_) {  // ordered by (finish_estimate, id)
       avail += r.allocated;
-      shadow = r.finish_estimate;
+      res.shadow = r.finish_estimate;
       if (use_shape) {
         released_scratch_.insert(released_scratch_.end(), r.blocks.begin(),
                                  r.blocks.end());
         if (avail >= head_need && (*snap.shape_fit)(head, released_scratch_)) {
-          reachable = true;
+          res.reachable = true;
           break;
         }
       } else if (avail >= head_need) {
-        reachable = true;
+        res.reachable = true;
         break;
       }
     }
   }
-  // When even draining every running job cannot seat the head, there is no
-  // reservation to protect — plain first-fit backfill applies.
-  if (reachable) first_reservation_.emplace(head.job_id, shadow);
-  const std::int64_t extra =
-      reachable ? avail - head_need : std::numeric_limits<std::int64_t>::max();
+  res.extra = res.reachable ? avail - head_need : std::numeric_limits<std::int64_t>::max();
+  return res;
+}
 
-  for (std::size_t i = 1; i < size(); ++i) {
+std::optional<std::size_t> BackfillScheduler::easy_backfill(const AllocProbe& probe,
+                                                            const SchedSnapshot& snap,
+                                                            const HeadReservation& res,
+                                                            std::size_t from) const {
+  for (std::size_t i = from; i < size(); ++i) {
     const QueuedJob c = job_at(i);
     // Cheap O(1) reservation conditions first; the occupancy-index probe
     // only runs for candidates that could not delay the head anyway:
     // either done (by estimate) before the shadow time, or within the
     // processors left over there after the head is seated.
-    if (reachable && snap.now + c.demand > shadow && c.processors > extra) continue;
+    if (res.reachable && snap.now + c.demand > res.shadow && c.processors > res.extra)
+      continue;
     if (probe(c)) return i;
   }
   return std::nullopt;
 }
 
 std::optional<std::size_t> BackfillScheduler::select_conservative(
-    const AllocProbe& probe, const SchedSnapshot& snap) {
-  if (empty()) return std::nullopt;
-  // Fast path shared with every discipline: a fitting head starts.
-  if (probe(job_at(0))) return 0;
-  const bool use_shape = opts_.shape_aware && snap.shape_fit != nullptr;
+    const AllocProbe& probe, const SchedSnapshot& snap, bool use_shape,
+    std::size_t from) {
+  if (from == 0) {
+    if (empty()) return std::nullopt;
+    // Fast path shared with every discipline: a fitting head starts.
+    if (probe(job_at(0))) return 0;
+    build_profile(profile_, snap);
+  }
+  return walk_conservative(profile_, probe, snap, use_shape, from, /*record=*/true);
+}
 
-  // Build the availability profile from the running set. Overdue estimates
-  // (still running past start + demand) release "any moment now".
-  CapacityProfile profile(snap.now, snap.free_processors);
+void BackfillScheduler::build_profile(CapacityProfile& profile,
+                                      const SchedSnapshot& snap) const {
+  // Overdue estimates (still running past start + demand) release "any
+  // moment now".
+  profile.reset(snap.now, snap.free_processors);
   for (const Running& r : running_)
     profile.add_release(std::max(r.finish_estimate, snap.now), r.allocated);
+}
 
+std::optional<std::size_t> BackfillScheduler::walk_conservative(
+    CapacityProfile& profile, const AllocProbe& probe, const SchedSnapshot& snap,
+    bool use_shape, std::size_t from, bool record) {
   // Walk the queue in FCFS order, reserving every job's earliest feasible
   // slot. A job whose slot is *now* (and whose real allocation the probe
   // approves) is nominated; anything later holds its reservation so no
   // later candidate can take capacity from under it.
   const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = from; i < n; ++i) {
     const QueuedJob c = job_at(i);
     double t = profile.earliest_fit(snap.now, c.processors, c.demand);
     if (t <= snap.now && probe(c)) return i;
@@ -194,15 +159,56 @@ std::optional<std::size_t> BackfillScheduler::select_conservative(
                                    it->blocks.end());
       }
     }
-    if (t > snap.now) first_reservation_.emplace(c.job_id, t);
+    if (record && t > snap.now) first_reservation_.emplace(c.job_id, t);
     profile.reserve(t, c.demand, c.processors);
   }
   return std::nullopt;
 }
 
+void BackfillScheduler::verify_resume(const AllocProbe& probe, const SchedSnapshot& snap,
+                                      bool use_shape, std::optional<std::size_t> got) {
+  // The oracle: the same select from scratch on scratch state, recording no
+  // reservation. A resume is exact only if it nominates the same position
+  // and leaves the same reservation state behind.
+  std::optional<std::size_t> want;
+  bool same_state = true;
+  const QueuedJob head = job_at(0);  // a resume implies a non-empty walked prefix
+  if (probe(head)) {
+    want = 0;
+  } else if (opts_.conservative) {
+    CapacityProfile fresh;
+    build_profile(fresh, snap);
+    want = walk_conservative(fresh, probe, snap, use_shape, 0, /*record=*/false);
+    same_state = fresh.steps() == profile_.steps();
+  } else {
+    const HeadReservation fresh = easy_reservation(head, snap, use_shape);
+    want = easy_backfill(probe, snap, fresh, 1);
+    same_state = fresh == head_;
+  }
+  if (want != got || !same_state)
+    throw std::logic_error("BackfillScheduler: resumed walk of " + name() + " at t=" +
+                           std::to_string(snap.now) + " diverges from a fresh walk");
+}
+
+void BackfillScheduler::enqueue(const QueuedJob& job) {
+  // FifoBase inserts after every entry with seq <= job.seq: only a job that
+  // lands behind all of them leaves the walked prefix in place.
+  if (!queue().empty() && queue().back().seq > job.seq) resume_.valid = false;
+  FifoBase::enqueue(job);
+}
+
+QueuedJob BackfillScheduler::take(std::size_t pos) {
+  resume_.valid = false;
+  return FifoBase::take(pos);
+}
+
 void BackfillScheduler::on_start(const QueuedJob& job, double now,
                                  std::int64_t allocated,
                                  const std::vector<mesh::SubMesh>& blocks) {
+  if (slot_.contains(job.job_id))
+    throw std::logic_error("BackfillScheduler::on_start: job " +
+                           std::to_string(job.job_id) + " is already running");
+  resume_.valid = false;
   const auto res = first_reservation_.find(job.job_id);
   if (res != first_reservation_.end()) {
     // The promise was an *estimate*-based instant; a hair of float slack
@@ -220,7 +226,10 @@ void BackfillScheduler::on_start(const QueuedJob& job, double now,
 
 void BackfillScheduler::on_complete(std::uint64_t job_id, double) {
   const auto it = slot_.find(job_id);
-  if (it == slot_.end()) return;
+  if (it == slot_.end())
+    throw std::logic_error("BackfillScheduler::on_complete: job " +
+                           std::to_string(job_id) + " is not running");
+  resume_.valid = false;
   running_.erase(it->second);
   slot_.erase(it);
 }
@@ -240,6 +249,7 @@ void BackfillScheduler::export_counters(
 
 void BackfillScheduler::clear() {
   FifoBase::clear();
+  resume_ = Resume{};
   running_.clear();
   slot_.clear();
   first_reservation_.clear();

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sched/capacity_profile.hpp"
 #include "sched/fifo_base.hpp"
 
 namespace procsim::sched {
@@ -41,7 +42,7 @@ struct BackfillOptions {
 /// time, or it needs no more than the processors left over at the shadow
 /// time after the head is seated.
 ///
-/// **Conservative**: every pass rebuilds an availability profile (free
+/// **Conservative**: a pass builds an availability profile (free
 /// processors as a step function of time, fed by the running set's estimated
 /// releases) and walks the queue in order, granting each job the earliest
 /// profile slot that holds its processors for its estimated duration and
@@ -50,6 +51,20 @@ struct BackfillOptions {
 /// earlier-queued job's reservation back, the defining guarantee
 /// (starvation-free by construction, at the cost of backfill opportunities
 /// EASY would take).
+///
+/// **Resume.** A walk that nominates nobody is kept: the profile (EASY: the
+/// head's reservation), the instant, the free-processor count and the number
+/// of positions walked. The next select() at the same instant and free count
+/// continues from there instead of re-walking, provided nothing but tail
+/// arrivals happened in between — on_start, on_complete, take, clear, an
+/// enqueue that does not land at the tail, and any select() that returns a
+/// position all drop the kept walk. Under the Scheduler contract occupancy
+/// changes only at on_start and on_complete, so the walked prefix would see
+/// the same profile, the same probe answers and the same reservations;
+/// nominations are identical, only the repeated probes are saved. A saturated
+/// backlog filled by same-instant arrivals thus costs one walk, not one per
+/// arrival. Under PROCSIM_VERIFY=1 every resumed select is re-walked from
+/// scratch and a differing nomination or profile throws std::logic_error.
 ///
 /// Processor arithmetic is count-based, in the job's *compute* processor
 /// count (QueuedJob::processors — what the non-contiguous strategies
@@ -66,9 +81,13 @@ class BackfillScheduler final : public FifoBase {
 
   [[nodiscard]] std::optional<std::size_t> select(const AllocProbe& probe,
                                                   const SchedSnapshot& snap) override;
+  void enqueue(const QueuedJob& job) override;
+  QueuedJob take(std::size_t pos) override;
 
+  /// Throws std::logic_error when `job` is already running.
   void on_start(const QueuedJob& job, double now, std::int64_t allocated,
                 const std::vector<mesh::SubMesh>& blocks) override;
+  /// Throws std::logic_error when `job_id` is not running.
   void on_complete(std::uint64_t job_id, double now) override;
 
   /// "backfill[:conservative][;shape]" — the registry spec grammar.
@@ -97,12 +116,54 @@ class BackfillScheduler final : public FifoBase {
     }
   };
 
+  /// The walk the last select() ended with nullopt, if still resumable.
+  struct Resume {
+    bool valid{false};
+    double now{0};
+    std::int64_t free_processors{0};
+    bool use_shape{false};
+    std::size_t walked{0};  ///< queue positions [0, walked) already walked
+  };
+
+  /// EASY's reservation for a blocked head.
+  struct HeadReservation {
+    double shadow{0};        ///< when the head is seated
+    std::int64_t extra{0};   ///< processors left over there
+    bool reachable{false};   ///< false: no reservation to protect
+    friend bool operator==(const HeadReservation&, const HeadReservation&) = default;
+  };
+
+  // `from` > 0 resumes the kept walk at that position; 0 starts afresh.
   [[nodiscard]] std::optional<std::size_t> select_easy(const AllocProbe& probe,
-                                                       const SchedSnapshot& snap);
+                                                       const SchedSnapshot& snap,
+                                                       bool use_shape, std::size_t from);
   [[nodiscard]] std::optional<std::size_t> select_conservative(
-      const AllocProbe& probe, const SchedSnapshot& snap);
+      const AllocProbe& probe, const SchedSnapshot& snap, bool use_shape,
+      std::size_t from);
+
+  [[nodiscard]] HeadReservation easy_reservation(const QueuedJob& head,
+                                                 const SchedSnapshot& snap,
+                                                 bool use_shape);
+  [[nodiscard]] std::optional<std::size_t> easy_backfill(const AllocProbe& probe,
+                                                         const SchedSnapshot& snap,
+                                                         const HeadReservation& res,
+                                                         std::size_t from) const;
+  void build_profile(CapacityProfile& profile, const SchedSnapshot& snap) const;
+  /// Reserves positions [from, size()) on `profile` until one may start now;
+  /// `record` keeps each job's first reservation instant.
+  [[nodiscard]] std::optional<std::size_t> walk_conservative(
+      CapacityProfile& profile, const AllocProbe& probe, const SchedSnapshot& snap,
+      bool use_shape, std::size_t from, bool record);
+  /// PROCSIM_VERIFY: re-walks a resumed select from scratch; throws
+  /// std::logic_error unless it nominates `got` and ends in the same state.
+  void verify_resume(const AllocProbe& probe, const SchedSnapshot& snap, bool use_shape,
+                     std::optional<std::size_t> got);
 
   BackfillOptions opts_;
+
+  Resume resume_;
+  CapacityProfile profile_;  ///< conservative: the kept walk's profile
+  HeadReservation head_;     ///< EASY: the kept walk's head reservation
 
   /// Kept ordered by estimated finish so the reservation walks are plain
   /// in-order traversals — no per-pass copy + sort; slot_ locates a job's

@@ -70,6 +70,15 @@ struct SchedSnapshot {
 /// so a pass can inspect any candidate without consuming it. `on_start` /
 /// `on_complete` keep reservation-aware disciplines' view of the running set
 /// current; the simple orderings inherit the no-op defaults.
+///
+/// Contract: occupancy changes only at `on_start` and `on_complete`. Every
+/// allocation the simulator commits is followed by `on_start` for that job,
+/// and every release by `on_complete`, before the next `select()`; nothing
+/// else moves the answers `AllocProbe` and `ShapeProbe` give. A discipline
+/// may therefore keep work from a select() that nominated nobody and reuse
+/// it while the snapshot (`now`, `free_processors`) and its queue prefix are
+/// unchanged and no start or completion was notified in between
+/// (BackfillScheduler resumes its reservation walk that way).
 class Scheduler {
  public:
   virtual ~Scheduler() = default;

@@ -6,8 +6,9 @@ namespace procsim::util {
 /// unset). When on, every fast path runs beside its oracle and throws
 /// std::logic_error on the first divergence: kCalendar event queues run as
 /// kCrossCheck, kBatched networks as kVerify, every OccupancyIndex fit query
-/// is re-answered by FreeSubmeshScan, and core::run_once attaches a
-/// throwaway trace + telemetry recorder. Output bytes do not change.
+/// is re-answered by FreeSubmeshScan, every resumed BackfillScheduler walk
+/// is re-walked from scratch, and core::run_once attaches a throwaway trace +
+/// telemetry recorder. Output bytes do not change.
 ///
 /// Read once, on first use; a value other than empty, "0" or "1" prints one
 /// line to stderr and exits the process with status 2.

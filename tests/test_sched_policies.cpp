@@ -20,15 +20,19 @@
 #include "core/system_sim.hpp"
 #include "des/rng.hpp"
 #include "sched/backfill.hpp"
+#include "sched/capacity_profile.hpp"
 #include "sched/lookahead.hpp"
 #include "sched/ordered_scheduler.hpp"
 #include "sched/registry.hpp"
 #include "workload/stochastic.hpp"
 
+#include "verify_scope.hpp"
+
 namespace {
 
 using procsim::sched::AllocProbe;
 using procsim::sched::BackfillScheduler;
+using procsim::sched::CapacityProfile;
 using procsim::sched::LookaheadScheduler;
 using procsim::sched::OrderedScheduler;
 using procsim::sched::Policy;
@@ -480,6 +484,346 @@ TEST(ShapeAware, ConservativeRefinesEvenWhenTheCountSaysFitsNow) {
   const auto pos = s.select(probe, snap);
   ASSERT_TRUE(pos.has_value());
   EXPECT_EQ(*pos, 1u);
+}
+
+// ------------------------------------------------------ running-set misuse
+
+TEST(Backfill, SecondStartOfARunningJobThrows) {
+  for (const bool conservative_variant : {false, true}) {
+    BackfillScheduler s{BackfillOptions{.conservative = conservative_variant}};
+    s.on_start(job(7, 10, 4, 0), 0.0, 4, {});
+    EXPECT_THROW(s.on_start(job(7, 10, 4, 0), 1.0, 4, {}), std::logic_error);
+    // The refused start left no phantom entry behind: one completion
+    // empties the running set, a second one is unknown.
+    s.on_complete(7, 10.0);
+    EXPECT_THROW(s.on_complete(7, 10.0), std::logic_error);
+  }
+}
+
+TEST(Backfill, CompletionOfAnUnknownJobThrows) {
+  BackfillScheduler s;
+  EXPECT_THROW(s.on_complete(42, 0.0), std::logic_error);
+  s.on_start(job(1, 10, 4, 0), 0.0, 4, {});
+  EXPECT_THROW(s.on_complete(2, 5.0), std::logic_error);
+  s.clear();
+  EXPECT_THROW(s.on_complete(1, 5.0), std::logic_error);  // clear forgot it
+}
+
+// ---------------------------------------------------------- capacity profile
+
+TEST(CapacityProfile, ReleasesAtOneInstantMergeIntoOneStep) {
+  CapacityProfile p(0.0, 2);
+  p.add_release(0.0, 1);  // at the origin: folds into the origin step
+  p.add_release(5.0, 2);
+  p.add_release(5.0, 3);
+  p.add_release(9.0, 1);
+  const std::vector<CapacityProfile::Step> want{{0.0, 3}, {5.0, 8}, {9.0, 9}};
+  EXPECT_EQ(p.steps(), want);
+  EXPECT_EQ(p.step_at(-1.0), 0u);  // before the origin: the origin step
+  EXPECT_EQ(p.step_at(0.0), 0u);
+  EXPECT_EQ(p.step_at(4.999), 0u);
+  EXPECT_EQ(p.step_at(5.0), 1u);  // a step is active from its own instant
+  EXPECT_EQ(p.step_at(8.0), 1u);
+  EXPECT_EQ(p.step_at(9.0), 2u);
+  EXPECT_EQ(p.step_at(1e300), 2u);
+}
+
+TEST(CapacityProfile, FitFromTheOrigin) {
+  CapacityProfile p(10.0, 4);
+  p.add_release(20.0, 4);
+  EXPECT_EQ(p.earliest_fit(10.0, 4, 100.0), 10.0);  // fits at the origin
+  EXPECT_EQ(p.earliest_fit(10.0, 5, 1.0), 20.0);    // waits for the release
+  p.reserve(10.0, 5.0, 4);  // the origin step itself is reserved
+  const std::vector<CapacityProfile::Step> want{{10.0, 0}, {15.0, 4}, {20.0, 8}};
+  EXPECT_EQ(p.steps(), want);
+  EXPECT_EQ(p.earliest_fit(10.0, 1, 1.0), 15.0);
+}
+
+TEST(CapacityProfile, ReservationEndingExactlyOnAStep) {
+  CapacityProfile p(0.0, 4);
+  p.add_release(10.0, 4);
+  p.add_release(20.0, 4);
+  p.reserve(5.0, 5.0, 4);  // [5, 10): the end is the existing t = 10 step
+  const std::vector<CapacityProfile::Step> want{
+      {0.0, 4}, {5.0, 0}, {10.0, 8}, {20.0, 12}};
+  EXPECT_EQ(p.steps(), want);  // no duplicate step at t = 10
+  EXPECT_EQ(p.earliest_fit(0.0, 4, 5.0), 0.0);    // [0, 5) touches the hole's edge
+  EXPECT_EQ(p.earliest_fit(0.0, 4, 6.0), 10.0);   // [0, 6) does not fit
+  EXPECT_EQ(p.earliest_fit(5.0, 1, 1.0), 10.0);   // starts as the hole ends
+  p.reserve(10.0, 10.0, 8);  // again ending on a step, starting on one
+  const std::vector<CapacityProfile::Step> want2{
+      {0.0, 4}, {5.0, 0}, {10.0, 0}, {20.0, 12}};
+  EXPECT_EQ(p.steps(), want2);
+  EXPECT_EQ(p.earliest_fit(0.0, 5, 1.0), 20.0);
+}
+
+TEST(CapacityProfile, BinarySearchMatchesALinearScan) {
+  procsim::des::Xoshiro256SS rng(31);
+  for (int round = 0; round < 50; ++round) {
+    CapacityProfile p(0.0, 8);
+    double t = 0;
+    for (int i = 0; i < 12; ++i) {
+      // Integer instants make releases, reservation ends and probes collide.
+      t += static_cast<double>(procsim::des::sample_uniform_int(rng, 0, 3));
+      p.add_release(t, procsim::des::sample_uniform_int(rng, 1, 4));
+    }
+    for (int i = 0; i < 8; ++i) {
+      const auto procs = procsim::des::sample_uniform_int(rng, 1, 6);
+      const auto dur = static_cast<double>(procsim::des::sample_uniform_int(rng, 1, 9));
+      p.reserve(p.earliest_fit(0.0, procs, dur), dur, procs);
+    }
+    const auto& steps = p.steps();
+    for (std::size_t k = 1; k < steps.size(); ++k) ASSERT_LT(steps[k - 1].t, steps[k].t);
+    for (double q = -1.0; q <= t + 12.0; q += 0.5) {
+      std::size_t linear = 0;
+      while (linear + 1 < steps.size() && steps[linear + 1].t <= q) ++linear;
+      ASSERT_EQ(p.step_at(q), linear) << "round " << round << " t=" << q;
+    }
+  }
+}
+
+// ------------------------------------------------------------ resumed walks
+
+TEST(Resume, SameInstantTailArrivalsProbeOnlyTheNewJobs) {
+  // 4 free, 60 held until t=100, a 32-processor head reserved at t=100, and
+  // nothing fits by shape right now (the probe always refuses). Each
+  // one-processor arrival is walked once: of 20 arrivals only the four the
+  // count profile seats at t=0 are probed, plus the head's probe in the
+  // first pass. A re-walk per arrival would cost 95 probes.
+  const procsim::testing::VerifyScope plain(false);
+  auto s = conservative();
+  s.on_start(job(99, 100, 60, 0), 0.0, 60, {});
+  s.enqueue(job(0, 10, 32, 1));
+  int probes = 0;
+  const AllocProbe never = [&probes](const QueuedJob&) {
+    ++probes;
+    return false;
+  };
+  const SchedSnapshot snap{0.0, 4};
+  EXPECT_FALSE(s.select(never, snap).has_value());
+  for (std::uint64_t k = 1; k <= 20; ++k) {
+    s.enqueue(job(k, 5, 1, 1 + k));
+    EXPECT_FALSE(s.select(never, snap).has_value());
+  }
+  EXPECT_EQ(probes, 5);
+  // Each invalidation point makes the next pass walk afresh: the head's
+  // probe, then four jobs the profile seats at t=0 (5 probes); with nothing
+  // new to walk, a kept walk probes nothing.
+  const auto pass_probes = [&](const SchedSnapshot& at) {
+    probes = 0;
+    EXPECT_FALSE(s.select(never, at).has_value());
+    return probes;
+  };
+  EXPECT_EQ(pass_probes(snap), 0);
+  (void)s.take(s.size() - 1);
+  EXPECT_EQ(pass_probes(snap), 5);
+  s.on_start(job(98, 7, 2, 90), 0.0, 2, {});
+  EXPECT_EQ(pass_probes(snap), 5);
+  s.on_complete(98, 0.0);
+  EXPECT_EQ(pass_probes(snap), 5);
+  s.enqueue(job(97, 5, 1, 0));  // seq 0: the new head
+  EXPECT_EQ(pass_probes(snap), 5);
+  EXPECT_EQ(pass_probes(SchedSnapshot{0.0, 3}), 4);  // a changed free count
+  EXPECT_EQ(pass_probes(SchedSnapshot{1.0, 3}), 4);  // a changed instant
+}
+
+/// Count-based machine that drives one backfill scheduler through every
+/// operation that touches a kept walk — same-instant arrival bursts, tail
+/// takes (a cluster steal), non-tail enqueues, starts, completions, time
+/// steps — and checks each nomination against a scheduler rebuilt from the
+/// same running set and queue, which has nothing to resume. A job's shape
+/// fit needs `job_id % 3` processors more than its count, so the shape-aware
+/// variants place reservations the count model would not. Some completions
+/// drain their processors instead of freeing them, so a completion may leave
+/// the free count (and the clock) unchanged.
+class ResumeMachine {
+ public:
+  ResumeMachine(BackfillOptions opts, std::uint64_t seed)
+      : opts_(opts), sched_(opts), rng_(seed) {}
+
+  /// Selects whose kept walk the scheduler was allowed to resume.
+  [[nodiscard]] int resumable_selects() const { return resumable_; }
+
+  void run(int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const auto op = procsim::des::sample_uniform_int(rng_, 0, 99);
+      if (op < 35) {
+        if (sched_.size() >= kMaxQueue) continue;
+        const auto burst = procsim::des::sample_uniform_int(rng_, 1, 6);
+        for (std::int64_t k = 0; k < burst; ++k) {
+          enqueue(next_seq_ += 4);
+          pass();
+        }
+      } else if (op < 45) {
+        if (sched_.empty()) continue;
+        const auto at = procsim::des::sample_uniform_int(
+            rng_, 0, static_cast<std::int64_t>(sched_.size()) - 1);
+        enqueue(sched_.job_at(static_cast<std::size_t>(at)).seq + 1);
+        pass();
+      } else if (op < 55) {
+        if (sched_.empty()) continue;
+        (void)sched_.take(sched_.size() - 1);
+        changed_ = true;
+      } else if (op < 80) {
+        if (running_.empty()) continue;
+        const auto at = static_cast<std::size_t>(procsim::des::sample_uniform_int(
+            rng_, 0, static_cast<std::int64_t>(running_.size()) - 1));
+        const Run r = running_[at];
+        running_[at] = running_.back();
+        running_.pop_back();
+        sched_.on_complete(r.job.job_id, now_);
+        if (procsim::des::sample_uniform_int(rng_, 0, 2) == 0 && drained_ < kCapacity / 4)
+          drained_ += r.allocated;
+        else
+          free_ += r.allocated;
+        changed_ = true;
+        pass();
+      } else if (op < 90) {
+        now_ += procsim::des::sample_exponential(rng_, 4.0);
+        pass();
+      } else {
+        pass();
+      }
+    }
+  }
+
+ private:
+  static constexpr std::int64_t kCapacity = 64;
+  static constexpr std::size_t kMaxQueue = 40;  ///< no bursts beyond this backlog
+
+  struct Run {
+    QueuedJob job;
+    double start{0};
+    std::int64_t allocated{0};
+    std::vector<procsim::mesh::SubMesh> blocks;
+  };
+
+  static std::int64_t need(const QueuedJob& q) {
+    return q.processors + static_cast<std::int64_t>(q.job_id % 3);
+  }
+
+  void enqueue(std::uint64_t seq) {
+    QueuedJob q;
+    q.job_id = next_id_++;
+    q.seq = seq;
+    q.arrival = now_;
+    q.processors = static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng_, 1, 24));
+    q.area = q.processors;
+    q.demand = 0.5 + procsim::des::sample_exponential(rng_, 10.0);
+    // Only an enqueue behind every queued seq keeps a kept walk resumable.
+    if (!sched_.empty() && sched_.job_at(sched_.size() - 1).seq > seq) changed_ = true;
+    sched_.enqueue(q);
+  }
+
+  [[nodiscard]] bool probe(const QueuedJob& q) const { return need(q) <= free_; }
+
+  [[nodiscard]] SchedSnapshot snapshot() const {
+    SchedSnapshot snap{now_, free_};
+    if (opts_.shape_aware) snap.shape_fit = &shape_;
+    return snap;
+  }
+
+  std::optional<std::size_t> fresh_select() const {
+    BackfillScheduler fresh(opts_);
+    for (const Run& r : running_) fresh.on_start(r.job, r.start, r.allocated, r.blocks);
+    for (std::size_t i = 0; i < sched_.size(); ++i) fresh.enqueue(sched_.job_at(i));
+    return fresh.select(probe_, snapshot());
+  }
+
+  void pass() {
+    for (;;) {
+      const SchedSnapshot snap = snapshot();
+      if (walk_kept_ && !changed_ && snap.now == kept_now_ &&
+          snap.free_processors == kept_free_)
+        ++resumable_;
+      const std::optional<std::size_t> want = fresh_select();
+      const std::optional<std::size_t> pos = sched_.select(probe_, snap);
+      ASSERT_EQ(pos, want) << "t=" << now_ << " queue=" << sched_.size();
+      walk_kept_ = !pos;
+      changed_ = false;
+      kept_now_ = snap.now;
+      kept_free_ = snap.free_processors;
+      if (!pos) return;
+      const QueuedJob c = sched_.job_at(*pos);
+      ASSERT_TRUE(probe(c));  // backfill nominates only probe-approved jobs
+      const QueuedJob taken = sched_.take(*pos);
+      Run r{taken, now_, need(taken), {}};
+      r.blocks.push_back(procsim::mesh::SubMesh{0, 0, static_cast<std::int32_t>(r.allocated) - 1, 0});
+      sched_.on_start(taken, now_, r.allocated, r.blocks);
+      free_ -= r.allocated;
+      running_.push_back(std::move(r));
+    }
+  }
+
+  BackfillOptions opts_;
+  BackfillScheduler sched_;
+  procsim::des::Xoshiro256SS rng_;
+  double now_{0};
+  std::int64_t free_{kCapacity};
+  std::int64_t drained_{0};
+  std::vector<Run> running_;
+  std::uint64_t next_id_{0};
+  std::uint64_t next_seq_{0};
+  bool walk_kept_{false};
+  bool changed_{false};
+  double kept_now_{0};
+  std::int64_t kept_free_{0};
+  int resumable_{0};
+  const AllocProbe probe_ = [this](const QueuedJob& q) { return probe(q); };
+  const procsim::sched::ShapeProbe shape_ =
+      [this](const QueuedJob& q, const std::vector<procsim::mesh::SubMesh>& released) {
+        std::int64_t back = 0;
+        for (const procsim::mesh::SubMesh& b : released) back += b.area();
+        return need(q) <= free_ + back;
+      };
+};
+
+// Verify mode re-walks every resumed select from scratch and throws on a
+// differing nomination or profile; the machine compares every nomination with
+// a scheduler that cannot resume. Dropping any invalidation point (take,
+// on_complete, a non-tail enqueue) fails one of the two.
+TEST(Resume, RandomizedOperationsMatchAFreshWalk) {
+  const procsim::testing::VerifyScope verify(true);
+  for (const bool conservative_variant : {true, false}) {
+    for (const bool shape : {false, true}) {
+      for (const std::uint64_t seed : {2ull, 4ull, 9ull, 12ull, 17ull, 40ull}) {
+        SCOPED_TRACE(std::string(conservative_variant ? "conservative" : "easy") +
+                     (shape ? ";shape" : "") + " seed=" + std::to_string(seed));
+        ResumeMachine d(
+            BackfillOptions{.conservative = conservative_variant, .shape_aware = shape},
+            seed);
+        EXPECT_NO_THROW(d.run(300));
+        EXPECT_GT(d.resumable_selects(), 100);
+      }
+    }
+  }
+}
+
+// End to end the resume is invisible: a saturated backlog (every arrival at
+// t = 0, one pass each) gives bit-identical metrics with verify mode's
+// re-walks and without.
+TEST(Resume, SaturatedBacklogMetricsMatchUnderVerify) {
+  for (const char* spec_name : {"backfill:conservative;shape", "backfill:conservative",
+                                "backfill;shape", "backfill"}) {
+    procsim::core::ExperimentConfig cfg;
+    cfg.sys.geom = procsim::mesh::Geometry(12, 12);
+    cfg.allocator = procsim::core::AllocatorSpec{"FirstFit"};
+    cfg.workload.source_spec = "saturation";
+    cfg.workload.job_count = 120;
+    cfg.sys.target_completions = 40;
+    cfg.seed = 5;
+    const auto spec = procsim::sched::parse_sched_spec(spec_name);
+    ASSERT_TRUE(spec.has_value()) << spec_name;
+    cfg.scheduler = *spec;
+    std::map<std::string, double> plain;
+    {
+      const procsim::testing::VerifyScope off(false);
+      plain = procsim::core::to_observations(procsim::core::run_once(cfg));
+    }
+    const procsim::testing::VerifyScope on(true);
+    SCOPED_TRACE(spec_name);
+    EXPECT_EQ(plain, procsim::core::to_observations(procsim::core::run_once(cfg)));
+  }
 }
 
 // ----------------------------------------------------- legacy equivalence
