@@ -8,35 +8,72 @@
 
 namespace procsim::core {
 
-void StreamSet::build(const std::vector<network::SrcDst>& traffic) {
-  clear();
-  srcs_.reserve(traffic.size());
-  for (const auto& [src, dst] : traffic) srcs_.push_back(src);
-  std::sort(srcs_.begin(), srcs_.end());
-  srcs_.erase(std::unique(srcs_.begin(), srcs_.end()), srcs_.end());
-
-  begin_.assign(srcs_.size(), 0);
-  next_.assign(srcs_.size(), 0);
-  end_.assign(srcs_.size(), 0);
-  const auto index_of = [this](mesh::NodeId src) {
-    return static_cast<std::size_t>(
-        std::lower_bound(srcs_.begin(), srcs_.end(), src) - srcs_.begin());
+void StreamSet::build(std::span<const network::IndexPair> plan,
+                      std::span<const mesh::SubMesh> blocks, const mesh::Geometry& geom,
+                      std::int32_t processors, Scratch& scratch) {
+  // Cumulative block areas up to the compute nodes: index i lives in the
+  // first block whose end exceeds i.
+  scratch.block_end.clear();
+  std::int32_t covered = 0;
+  for (const mesh::SubMesh& b : blocks) {
+    if (covered >= processors) break;
+    covered += b.area();
+    scratch.block_end.push_back(covered);
+  }
+  const std::int32_t limit = std::min(processors, covered);
+  const auto node_of = [&](std::int32_t i) {
+    const auto k = static_cast<std::size_t>(
+        std::upper_bound(scratch.block_end.begin(), scratch.block_end.end(), i) -
+        scratch.block_end.begin());
+    const mesh::SubMesh& b = blocks[k];
+    const std::int32_t off = k == 0 ? i : i - scratch.block_end[k - 1];
+    return geom.id(mesh::Coord{b.x1 + off % b.width(), b.y1 + off / b.width()});
   };
-  for (const auto& [src, dst] : traffic) ++end_[index_of(src)];
 
+  // Each source's message count, kept in its table entry; its first
+  // message lists it. The plan is validated here, before any stream state
+  // changes.
+  if (scratch.per_index.size() < static_cast<std::size_t>(limit))
+    scratch.per_index.resize(static_cast<std::size_t>(limit), 0);
+  scratch.order.clear();
+  const auto reset_table = [&scratch] {
+    for (const auto& [node, i] : scratch.order)
+      scratch.per_index[static_cast<std::size_t>(i)] = 0;
+  };
+  for (const auto& [si, di] : plan) {
+    if (si < 0 || di < 0 || si >= limit || di >= limit || si == di) {
+      reset_table();
+      throw std::invalid_argument("StreamSet: plan index out of range");
+    }
+    if (scratch.per_index[static_cast<std::size_t>(si)]++ == 0)
+      scratch.order.emplace_back(node_of(si), si);
+  }
+
+  // Sources by ascending node; each takes a window of dsts_ sized by its
+  // count, and its table entry now names its sorted position.
+  std::sort(scratch.order.begin(), scratch.order.end());
+  const std::size_t n = scratch.order.size();
+  srcs_.resize(n);
+  next_.resize(n);
+  end_.resize(n);
   std::uint32_t offset = 0;
-  for (std::size_t i = 0; i < srcs_.size(); ++i) {
-    begin_[i] = offset;
-    next_[i] = offset;  // doubles as the fill cursor below
-    offset += end_[i];
-    end_[i] = offset;
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto [node, i] = scratch.order[k];
+    std::uint32_t& entry = scratch.per_index[static_cast<std::size_t>(i)];
+    srcs_[k] = node;
+    next_[k] = offset;  // the fill cursor below
+    offset += entry;
+    end_[k] = offset;
+    entry = static_cast<std::uint32_t>(k);
   }
 
   // Grouped fill in plan order: each source's destinations land contiguously
   // and in the order the message plan issued them.
-  dsts_.resize(traffic.size());
-  for (const auto& [src, dst] : traffic) dsts_[next_[index_of(src)]++] = dst;
-  next_ = begin_;
+  dsts_.resize(plan.size());
+  for (const auto& [si, di] : plan)
+    dsts_[next_[scratch.per_index[static_cast<std::size_t>(si)]]++] = node_of(di);
+  for (std::size_t k = 0; k < n; ++k) next_[k] = k == 0 ? 0 : end_[k - 1];
+  reset_table();
 }
 
 std::optional<mesh::NodeId> StreamSet::advance(mesh::NodeId src) {
@@ -48,7 +85,6 @@ std::optional<mesh::NodeId> StreamSet::advance(mesh::NodeId src) {
 
 void StreamSet::clear() noexcept {
   srcs_.clear();
-  begin_.clear();
   next_.clear();
   end_.clear();
   dsts_.clear();

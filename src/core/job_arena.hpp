@@ -2,30 +2,58 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "alloc/allocator.hpp"
 #include "mesh/coord.hpp"
+#include "mesh/submesh.hpp"
 #include "network/traffic.hpp"
 #include "workload/job.hpp"
 
 namespace procsim::core {
 
 /// A running job's outgoing message streams in one flat layout: the sorted
-/// source nodes, a [begin, end) window into a shared destination vector per
-/// source, and a cursor per source. Replaces the per-job
-/// `std::map<NodeId, vector<NodeId>>` — no node allocations per job, and the
-/// vectors keep their capacity across slot reuse, so a steady-state run
-/// builds streams allocation-free.
+/// source nodes, a window into a shared destination vector per source, and
+/// a cursor per source. No node allocations per job, and the vectors keep
+/// their capacity across slot reuse, so a steady-state run builds streams
+/// allocation-free.
 ///
-/// Semantics match the map exactly: sources iterate in ascending NodeId and
-/// each source's destinations keep message-plan order, so the injection
-/// sequence (and therefore every simulated byte) is unchanged.
+/// Sources iterate in ascending NodeId and each source's destinations keep
+/// message-plan order: that injection sequence shapes every simulated byte,
+/// so it must not change with how the streams are built.
+///
+/// build() reads the plan and the placement's blocks directly: processor
+/// index i is the i-th node of the blocks (network::block_node), resolved
+/// in O(log blocks) from cumulative block areas, and the work is
+/// O(messages + sources · log sources) on top — network::map_plan, which
+/// materialises the (source, destination) list, stays as the test oracle.
 class StreamSet {
  public:
-  /// Rebuilds from a job's mapped traffic (plan order). Keeps capacity.
-  void build(const std::vector<network::SrcDst>& traffic);
+  /// Per-simulator working memory of build(), shared by every StreamSet of
+  /// one JobArena: a per-processor-index table sized to the largest job
+  /// seen (grown, never shrunk) whose touched entries build() resets, so no
+  /// job start makes a pass over all processors and warm builds allocate
+  /// nothing.
+  struct Scratch {
+    /// Per processor index: its message count while counting (0: it sends
+    /// nothing), then its source's sorted position while filling.
+    std::vector<std::uint32_t> per_index;
+    /// (node, processor index) per source, sorted by node.
+    std::vector<std::pair<mesh::NodeId, std::int32_t>> order;
+    std::vector<std::int32_t> block_end;  ///< cumulative areas of the blocks
+  };
+
+  /// Rebuilds from a job's message plan bound to `blocks`, whose first
+  /// `processors` nodes are the job's compute nodes. Throws
+  /// std::invalid_argument — before changing any stream state — if an
+  /// index lies outside [0, processors) or the blocks, or a message sends
+  /// to itself. Keeps capacity.
+  void build(std::span<const network::IndexPair> plan,
+             std::span<const mesh::SubMesh> blocks, const mesh::Geometry& geom,
+             std::int32_t processors, Scratch& scratch);
 
   [[nodiscard]] std::size_t sources() const noexcept { return srcs_.size(); }
   [[nodiscard]] mesh::NodeId source(std::size_t i) const noexcept { return srcs_[i]; }
@@ -46,7 +74,6 @@ class StreamSet {
 
  private:
   std::vector<mesh::NodeId> srcs_;     ///< sorted ascending, unique
-  std::vector<std::uint32_t> begin_;   ///< per source: first index in dsts_
   std::vector<std::uint32_t> next_;    ///< per source: cursor into dsts_
   std::vector<std::uint32_t> end_;     ///< per source: one past the last
   std::vector<mesh::NodeId> dsts_;     ///< all destinations, grouped by source
@@ -103,6 +130,11 @@ class JobArena {
   [[nodiscard]] double& start_time(Slot s) noexcept { return start_time_[s]; }
   [[nodiscard]] std::int64_t& outstanding(Slot s) noexcept { return outstanding_[s]; }
   [[nodiscard]] StreamSet& streams(Slot s) noexcept { return streams_[s]; }
+  /// Builds slot `s`'s streams from its job's message plan and placement.
+  void build_streams(Slot s, const mesh::Geometry& geom) {
+    streams_[s].build(jobs_[s].message_plan, placements_[s].blocks, geom,
+                      jobs_[s].processors, stream_scratch_);
+  }
 
  private:
   // Hot (per-delivery) columns.
@@ -112,6 +144,7 @@ class JobArena {
   std::vector<workload::Job> jobs_;
   std::vector<alloc::Placement> placements_;
   std::vector<StreamSet> streams_;
+  StreamSet::Scratch stream_scratch_;  ///< shared by every slot's build
   std::vector<char> occupied_;
   std::vector<Slot> free_;
   std::unordered_map<std::uint64_t, Slot> index_;

@@ -288,11 +288,7 @@ void SystemSim::start_job(JobArena::Slot slot, alloc::Placement placement) {
   busy_procs_.add(sim_->now(),
                   static_cast<double>(arena_.placement(slot).allocated));
 
-  const std::vector<network::SrcDst> traffic =
-      network::map_plan(job.message_plan, arena_.placement(slot).blocks, cfg_.geom,
-                        job.processors);
-
-  if (traffic.empty()) {
+  if (job.message_plan.empty()) {
     // Single-processor job (or no messages): nominal local service of one
     // packet's worth of work (a zero-hop traversal).
     const double nominal = static_cast<double>(net_->base_latency_cycles(0));
@@ -304,13 +300,13 @@ void SystemSim::start_job(JobArena::Slot slot, alloc::Placement placement) {
     return;
   }
 
-  arena_.outstanding(slot) = static_cast<std::int64_t>(traffic.size());
-  metrics_.packets += traffic.size();
   // Group messages by source, preserving plan order; every source streams
   // its messages one at a time (blocking sends), all sources concurrently.
   // The slot rides along as the packet tag, so deliveries come back O(1).
+  arena_.build_streams(slot, cfg_.geom);
   StreamSet& streams = arena_.streams(slot);
-  streams.build(traffic);
+  arena_.outstanding(slot) = static_cast<std::int64_t>(streams.messages());
+  metrics_.packets += streams.messages();
   for (std::size_t i = 0; i < streams.sources(); ++i) {
     const auto dst = streams.next_at(i);
     net_->inject(streams.source(i), *dst, slot);

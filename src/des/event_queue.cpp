@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/verify.hpp"
@@ -73,40 +74,29 @@ void EventQueue::push(SimTime time, Handler h, std::uint64_t arg) {
       break;
   }
   ++size_;
-  if (engine_ != EventEngine::kHeap && size_ > kGrowFactor * buckets_.size() &&
-      buckets_.size() < kMaxBuckets)
-    rebucket(buckets_.size() * 2);
 }
 
 Event EventQueue::pop() {
-  Event out;
-  switch (engine_) {
-    case EventEngine::kHeap:
-      out = heap_pop();
-      break;
-    case EventEngine::kCalendar:
-      out = calendar_pop();
-      break;
-    case EventEngine::kCrossCheck: {
-      out = calendar_pop();
-      const Event shadow = heap_pop();
-      if (shadow.time != out.time || shadow.seq != out.seq)
-        throw std::logic_error(
-            "EventQueue cross-check: calendar and heap pop order diverged");
-      break;
-    }
-  }
   --size_;
-  if (engine_ != EventEngine::kHeap && buckets_.size() > kMinBuckets &&
-      size_ < buckets_.size() / kShrinkDivisor)
-    rebucket(buckets_.size() / 2);
+  if (engine_ == EventEngine::kHeap) return heap_pop();
+  const Event out = calendar_pop();
+  if (engine_ == EventEngine::kCrossCheck) {
+    const Event shadow = heap_pop();
+    if (shadow.time != out.time || shadow.seq != out.seq)
+      throw std::logic_error(
+          "EventQueue cross-check: calendar and heap pop order diverged");
+  }
   return out;
 }
 
 SimTime EventQueue::next_time() const noexcept {
   if (engine_ == EventEngine::kHeap) return heap_.front().time;
-  const std::size_t b = find_min_bucket();
-  return buckets_[b].front().time;
+  if (lane_head_ != lane_.size()) {
+    const SimTime lane_time = lane_[lane_head_].time;
+    if (bucket_size_ == 0) return lane_time;
+    return std::min(lane_time, buckets_[find_min_bucket()].front().time);
+  }
+  return buckets_[find_min_bucket()].front().time;
 }
 
 void EventQueue::clear() {
@@ -117,7 +107,11 @@ void EventQueue::clear() {
   inv_width_ = 1.0;
   cur_slot_ = 0;
   cur_bucket_ = 0;
+  lane_.clear();
+  lane_head_ = 0;
+  last_pop_ = std::numeric_limits<SimTime>::quiet_NaN();
   size_ = 0;
+  bucket_size_ = 0;
   next_seq_ = 0;
   rebuckets_ = 0;
 }
@@ -127,8 +121,39 @@ void EventQueue::clear() {
 // ---------------------------------------------------------------------------
 
 void EventQueue::calendar_push(const Event& ev) {
+  // Same-instant lane: one timestamp at a time, appended in seq order.
+  if (ev.time == last_pop_ &&
+      (lane_head_ == lane_.size() || lane_[lane_head_].time == ev.time)) {
+    lane_.push_back(ev);
+    return;
+  }
+  bucket_push(ev);
+  if (bucket_size_ > kGrowFactor * buckets_.size() && buckets_.size() < kMaxBuckets)
+    rebucket(buckets_.size() * 2);
+}
+
+Event EventQueue::calendar_pop() {
+  Event out;
+  if (lane_head_ != lane_.size() &&
+      (bucket_size_ == 0 ||
+       event_before(lane_[lane_head_], buckets_[find_min_bucket()].front()))) {
+    out = lane_[lane_head_++];
+    if (lane_head_ == lane_.size()) {
+      lane_.clear();  // keeps capacity
+      lane_head_ = 0;
+    }
+  } else {
+    out = bucket_pop();
+    if (buckets_.size() > kMinBuckets && bucket_size_ < buckets_.size() / kShrinkDivisor)
+      rebucket(buckets_.size() / 2);
+  }
+  last_pop_ = out.time;
+  return out;
+}
+
+void EventQueue::bucket_push(const Event& ev) {
   const std::int64_t slot = slot_of(ev.time);
-  if (size_ == 0 || slot < cur_slot_) {
+  if (bucket_size_ == 0 || slot < cur_slot_) {
     // The scan cursor never sits past a pending event: rewinding here is
     // what keeps the pop-side invariant (`no pending event lives in a slot
     // before cur_slot_`) true without ever searching on push.
@@ -145,6 +170,7 @@ void EventQueue::calendar_push(const Event& ev) {
     b.items.push_back(ev);
   else
     b.items.insert(b.items.begin() + static_cast<std::ptrdiff_t>(pos), ev);
+  ++bucket_size_;
 }
 
 std::size_t EventQueue::find_min_bucket() const {
@@ -177,7 +203,7 @@ std::size_t EventQueue::find_min_bucket() const {
   return best_idx;
 }
 
-Event EventQueue::calendar_pop() {
+Event EventQueue::bucket_pop() {
   Bucket& b = buckets_[find_min_bucket()];
   const Event out = b.items[b.head];
   ++b.head;
@@ -185,6 +211,7 @@ Event EventQueue::calendar_pop() {
     b.items.clear();  // reclaims the popped prefix, keeps capacity
     b.head = 0;
   }
+  --bucket_size_;
   return out;
 }
 
@@ -197,7 +224,7 @@ void EventQueue::rebucket(std::size_t new_bucket_count) {
   // preserves relative order within every timestamp — re-inserting from it
   // keeps each new bucket's (time, seq) order intact.
   std::vector<Event> scratch;
-  scratch.reserve(size_);
+  scratch.reserve(bucket_size_);
   for (Bucket& b : buckets_)
     for (std::size_t i = b.head; i < b.items.size(); ++i)
       scratch.push_back(b.items[i]);

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "des/event.hpp"
@@ -28,6 +29,17 @@ enum class EventEngine { kCalendar, kHeap, kCrossCheck };
 /// Pending-event set of a discrete-event simulation, keyed by
 /// (time, insertion sequence). Insertion order breaks timestamp ties so
 /// identical seeds reproduce identical trajectories.
+///
+/// The calendar engines keep a same-instant lane beside the buckets: an
+/// event pushed at the time of the last pop (the model's `now`, e.g. a
+/// network arbitration pass) is appended to a FIFO instead of paying a
+/// slot computation and a sorted bucket insert. The lane holds one
+/// timestamp only — it admits an event while it is empty or holds that same
+/// time — so it is sorted by (time, seq) by construction, and pop() and
+/// next_time() merge its front with the calendar minimum by (time, seq).
+/// That two-way merge is exact: pop order is the same with or without the
+/// lane, and kCrossCheck's shadow heap sees lane events like any other.
+/// A push into the past (before the last pop) never enters the lane.
 class EventQueue {
  public:
   explicit EventQueue(EventEngine engine = EventEngine::kCalendar);
@@ -43,10 +55,12 @@ class EventQueue {
   [[nodiscard]] SimTime next_time() const noexcept;
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  /// Pending events, the lane's included.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Drops every pending event (used between replications). Bucket geometry
-  /// resets to the initial configuration so replications are independent.
+  /// resets to the initial configuration and the lane forgets the last pop
+  /// time, so replications are independent.
   void clear();
 
   /// Total number of events ever scheduled (diagnostic).
@@ -61,6 +75,10 @@ class EventQueue {
   /// observability counter: a run that rebuckets often has an event-time
   /// profile the bucket-width estimator keeps chasing.
   [[nodiscard]] std::uint64_t rebucket_count() const noexcept { return rebuckets_; }
+  /// Events waiting in the same-instant lane (diagnostic; 0 for kHeap).
+  [[nodiscard]] std::size_t lane_size() const noexcept {
+    return lane_.size() - lane_head_;
+  }
 
  private:
   /// One calendar bucket: events sorted ascending by (time, seq), consumed
@@ -75,12 +93,16 @@ class EventQueue {
   };
 
   // -- calendar engine --------------------------------------------------
+  /// Lane or buckets, whichever admits `ev` (see the class comment).
   void calendar_push(const Event& ev);
+  /// The (time, seq)-earlier of the lane front and the bucket minimum.
   [[nodiscard]] Event calendar_pop();
+  void bucket_push(const Event& ev);
+  [[nodiscard]] Event bucket_pop();
   /// Positions cur_slot_/cur_bucket_ on the bucket holding the earliest
   /// pending event (the calendar scan; falls back to a direct search after
-  /// one full year). Precondition: size_ > 0. Logically const: only the
-  /// scan cursor moves, never an event.
+  /// one full year). Precondition: bucket_size_ > 0. Logically const: only
+  /// the scan cursor moves, never an event.
   std::size_t find_min_bucket() const;
   void rebucket(std::size_t new_bucket_count);
   void set_width(double width) noexcept;
@@ -116,7 +138,15 @@ class EventQueue {
   // (time, seq) keys for the pop-order identity assertion.
   std::vector<Event> heap_;
 
-  std::size_t size_{0};
+  // Same-instant lane: events at lane_.front().time in seq order, consumed
+  // from lane_head_ (storage reclaimed when it drains, capacity kept).
+  // last_pop_ is NaN until the first pop, so nothing enters the lane before.
+  std::vector<Event> lane_;
+  std::size_t lane_head_{0};
+  SimTime last_pop_{std::numeric_limits<SimTime>::quiet_NaN()};
+
+  std::size_t size_{0};         ///< pending events, lane included
+  std::size_t bucket_size_{0};  ///< pending events in the buckets
   std::uint64_t next_seq_{0};
   std::uint64_t rebuckets_{0};
 };

@@ -79,7 +79,8 @@ OccupancyIndex::OccupancyIndex(Geometry geom)
                      : (std::uint64_t{1} << (geom.width() % 64)) - 1),
       free_(static_cast<std::size_t>(geom.length()) * words_, 0),
       free_count_(geom.nodes()),
-      row_gen_(static_cast<std::size_t>(geom.length()), 0) {
+      row_gen_(static_cast<std::size_t>(geom.length()), 0),
+      sum_dirty_((static_cast<std::size_t>(geom.length()) + 63) / 64, 0) {
   clear();
 }
 
@@ -221,71 +222,59 @@ bool OccupancyIndex::window_into_win(std::int32_t y, std::int32_t b) const {
   return nonzero;
 }
 
-void OccupancyIndex::ensure_summaries() const {
-  const std::int32_t L = geom_.length();
-  const std::size_t nblk = (static_cast<std::size_t>(L) + 63) / 64;
-  if (row_max_run_.empty()) {
-    row_max_run_.assign(static_cast<std::size_t>(L), 0);
-    sum_gen_.assign(static_cast<std::size_t>(L), 0);  // 0 never matches (clear() stamps >= 1)
-    rows_all_free_.assign(nblk, 0);
-    rows_any_free_.assign(nblk, 0);
-    blk_max_run_.assign(nblk, 0);
-  }
-  bool touched = false;
-  for (std::int32_t y = 0; y < L; ++y) {
-    const std::size_t yi = static_cast<std::size_t>(y);
-    if (sum_gen_[yi] == row_gen_[yi]) continue;
-    touched = true;
-    const std::uint64_t* r = row(y);
-    std::uint64_t any = 0;
-    bool all = true;
-    std::int32_t best = 0;
-    std::int32_t run = 0;
-    for (std::size_t i = 0; i < words_; ++i) {
-      const std::uint64_t v = r[i];
-      any |= v;
-      all = all && v == (i + 1 == words_ ? tail_mask_ : ~std::uint64_t{0});
-      // Longest free run, carried across word boundaries; the tail bits past
-      // the width are zero, so runs clip at the mesh edge automatically.
-      int pos = 0;
-      while (pos < 64) {
-        const std::uint64_t rest = v >> pos;
-        if (rest & 1) {
-          const int ones = std::countr_one(rest);
-          run += ones;
-          pos += ones;
-          if (pos < 64) {
-            best = std::max(best, run);
-            run = 0;
-          }
-        } else {
+void OccupancyIndex::summarize_row(std::size_t yi) const {
+  const std::uint64_t* r = row(static_cast<std::int32_t>(yi));
+  bool all = true;
+  std::int32_t best = 0;
+  std::int32_t run = 0;
+  for (std::size_t i = 0; i < words_; ++i) {
+    const std::uint64_t v = r[i];
+    all = all && v == (i + 1 == words_ ? tail_mask_ : ~std::uint64_t{0});
+    // Longest free run, carried across word boundaries; the tail bits past
+    // the width are zero, so runs clip at the mesh edge automatically.
+    int pos = 0;
+    while (pos < 64) {
+      const std::uint64_t rest = v >> pos;
+      if (rest & 1) {
+        const int ones = std::countr_one(rest);
+        run += ones;
+        pos += ones;
+        if (pos < 64) {
           best = std::max(best, run);
           run = 0;
-          pos += rest == 0 ? 64 - pos : std::countr_zero(rest);
         }
+      } else {
+        best = std::max(best, run);
+        run = 0;
+        pos += rest == 0 ? 64 - pos : std::countr_zero(rest);
       }
     }
-    row_max_run_[yi] = std::max(best, run);
-    const std::uint64_t bit = std::uint64_t{1} << (y % 64);
-    if (all)
-      rows_all_free_[yi / 64] |= bit;
-    else
-      rows_all_free_[yi / 64] &= ~bit;
-    if (any != 0)
-      rows_any_free_[yi / 64] |= bit;
-    else
-      rows_any_free_[yi / 64] &= ~bit;
-    sum_gen_[yi] = row_gen_[yi];
   }
-  if (touched) {
-    // Level 2: per-64-row-block max runs. O(L) — cheaper than tracking which
-    // blocks went stale, and already dominated by the stamp scan above.
-    for (std::size_t blk = 0; blk < nblk; ++blk) {
-      std::int32_t m = 0;
-      const std::size_t y_end = std::min(static_cast<std::size_t>(L), blk * 64 + 64);
-      for (std::size_t y = blk * 64; y < y_end; ++y) m = std::max(m, row_max_run_[y]);
-      blk_max_run_[blk] = m;
-    }
+  row_max_run_[yi] = std::max(best, run);
+  const std::uint64_t bit = std::uint64_t{1} << (yi % 64);
+  if (all)
+    rows_all_free_[yi / 64] |= bit;
+  else
+    rows_all_free_[yi / 64] &= ~bit;
+}
+
+void OccupancyIndex::ensure_summaries() const {
+  const std::size_t L = static_cast<std::size_t>(geom_.length());
+  if (row_max_run_.empty()) {
+    row_max_run_.assign(L, 0);
+    rows_all_free_.assign(sum_dirty_.size(), 0);
+    blk_max_run_.assign(sum_dirty_.size(), 0);
+  }
+  for (std::size_t blk = 0; blk < sum_dirty_.size(); ++blk) {
+    if (sum_dirty_[blk] == 0) continue;
+    for (std::uint64_t d = sum_dirty_[blk]; d != 0; d &= d - 1)
+      summarize_row(blk * 64 + static_cast<std::size_t>(std::countr_zero(d)));
+    sum_dirty_[blk] = 0;
+    // Level 2: this block's max run, from its (at most 64) row maxima.
+    std::int32_t m = 0;
+    for (std::size_t y = blk * 64; y < std::min(L, blk * 64 + 64); ++y)
+      m = std::max(m, row_max_run_[y]);
+    blk_max_run_[blk] = m;
   }
 }
 
@@ -674,7 +663,7 @@ std::optional<SubMesh> OccupancyIndex::largest_free(std::int32_t max_w,
 std::int32_t OccupancyIndex::max_free_run() const {
   ensure_summaries();
   std::int32_t best = 0;
-  for (const std::int32_t r : row_max_run_) best = std::max(best, r);
+  for (const std::int32_t r : blk_max_run_) best = std::max(best, r);
   return best;
 }
 

@@ -24,11 +24,10 @@ class MeshState;
 /// consecutive free bits start" is a handful of shift-ANDs per row, and a
 /// height-`b` window is the AND of `b` row masks.
 ///
-/// On top of the bitmap sit two generation-stamped summary levels (the
-/// 512×512 fast path):
+/// On top of the bitmap sit two summary levels (the 512×512 fast path):
 ///
-///  * level 1 — one record per row: longest free run, row-is-all-free and
-///    row-has-any-free flags (the flags packed into 64-row bitset words);
+///  * level 1 — one record per row: longest free run and a row-is-all-free
+///    flag (the flags packed into 64-row bitset words);
 ///  * level 2 — one record per 64-row block: the max over the block's
 ///    per-row longest runs.
 ///
@@ -37,9 +36,10 @@ class MeshState;
 /// comparison (fully-busy regions), a window of all-free rows answers
 /// first_fit without touching run masks (fully-free regions), and only rows
 /// inside a *viable* window — b consecutive rows that each hold a run of
-/// `a` — ever compute run masks. Summaries are validated lazily per query,
-/// recomputing only rows whose generation stamp went stale, so steady churn
-/// pays O(rows touched) not O(L).
+/// `a` — ever compute run masks. allocate() and release() set a dirty bit
+/// per row they touch; a query first recomputes the dirty rows and the
+/// maxima of the blocks holding them, found by scanning one bitset word per
+/// 64 rows, so steady churn pays O(rows touched), not O(L).
 ///
 /// Every query reproduces FreeSubmeshScan's answer bit for bit — same scan
 /// order, same tie-breaking — which the randomized equivalence test and
@@ -163,8 +163,8 @@ class OccupancyIndex {
       std::int64_t max_area = std::numeric_limits<std::int64_t>::max()) const;
 
   /// Longest horizontal run of free nodes over all rows — a cheap
-  /// fragmentation gauge (telemetry): reads the row summaries, recomputing
-  /// only stale rows, so steady churn pays O(rows touched).
+  /// fragmentation gauge (telemetry): reads the block summaries after
+  /// recomputing only dirty rows, so steady churn pays O(rows touched).
   [[nodiscard]] std::int32_t max_free_run() const;
 
   /// Observability: how often each query family ran and how largest_free
@@ -211,8 +211,11 @@ class OccupancyIndex {
   [[nodiscard]] std::optional<SubMesh> best_fit_impl(std::int32_t a,
                                                      std::int32_t b) const;
 
-  /// Validates the two summary levels (row flags + longest runs, per-block
-  /// max runs), recomputing only rows whose generation stamp is stale.
+  /// Recomputes row `yi`'s level-1 summary (longest run, all-free bit).
+  void summarize_row(std::size_t yi) const;
+  /// Brings the two summary levels (row flags + longest runs, per-block
+  /// max runs) up to date: recomputes only the dirty rows, and the block
+  /// maxima only of blocks that held one.
   void ensure_summaries() const;
 
   /// Brings the largest_free frontier up to date with the occupancy (see
@@ -229,8 +232,14 @@ class OccupancyIndex {
   [[nodiscard]] std::pair<std::int32_t, std::int32_t> frontier_winner(
       std::int32_t max_w, std::int32_t max_l, std::int64_t max_area) const;
 
-  /// Marks row `y`'s cached summaries stale (occupancy changed).
-  void dirty_row(std::int32_t y) { row_gen_[static_cast<std::size_t>(y)] = ++gen_counter_; }
+  /// Marks row `y`'s cached state stale (occupancy changed): a new
+  /// generation stamp for the frontier and the best_fit cache, and a dirty
+  /// bit for the row summaries.
+  void dirty_row(std::int32_t y) {
+    const auto yi = static_cast<std::size_t>(y);
+    row_gen_[yi] = ++gen_counter_;
+    sum_dirty_[yi / 64] |= std::uint64_t{1} << (yi % 64);
+  }
 
   /// Validates (recomputing iff the row's stamp is stale) and returns row
   /// `y`'s free-count prefix block: entry x = free nodes in columns [0, x).
@@ -257,10 +266,10 @@ class OccupancyIndex {
   mutable std::vector<std::uint64_t> assume_;  ///< hypothetical-occupancy bitmap
 
   // Hierarchical occupancy summaries (level 1: rows, level 2: 64-row blocks).
-  mutable std::vector<std::uint64_t> sum_gen_;      ///< per-row summary stamps
+  // Row y's summary is current unless bit y of sum_dirty_ is set.
+  mutable std::vector<std::uint64_t> sum_dirty_;    ///< bit y ⇒ row y stale
   mutable std::vector<std::int32_t> row_max_run_;   ///< longest free run per row
   mutable std::vector<std::uint64_t> rows_all_free_;  ///< bit y ⇒ row y all free
-  mutable std::vector<std::uint64_t> rows_any_free_;  ///< bit y ⇒ row y has a free node
   mutable std::vector<std::int32_t> blk_max_run_;   ///< max row_max_run_ per block
 
   // largest_free frontier, allocated by the first sync. Rows are grouped

@@ -48,7 +48,9 @@ using SrcDst = std::pair<mesh::NodeId, mesh::NodeId>;
 
 /// Binds a plan to the processors the allocator granted: index i is
 /// block_node(blocks, geom, i), and every index must lie below
-/// `processors` (the job's compute nodes; the blocks may hold more).
+/// `processors` (the job's compute nodes; the blocks may hold more). The
+/// simulator builds its message streams from the plan directly
+/// (core::StreamSet::build); this materialised list is the tests' oracle.
 [[nodiscard]] std::vector<SrcDst> map_plan(std::span<const IndexPair> plan,
                                            std::span<const mesh::SubMesh> blocks,
                                            const mesh::Geometry& geom,

@@ -1,5 +1,6 @@
 #include "workload/shape.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -14,7 +15,10 @@ std::pair<std::int32_t, std::int32_t> shape_for_processors(std::int32_t p,
   std::int64_t best_area = std::numeric_limits<std::int64_t>::max();
   std::int32_t best_perim = std::numeric_limits<std::int32_t>::max();
   std::pair<std::int32_t, std::int32_t> best{geom.width(), geom.length()};
-  for (std::int32_t a = 1; a <= geom.width(); ++a) {
+  // Widths past p cannot win: a > p gives b = 1 and area a > p, which a = p
+  // (area p) beats, so the scan stops at min(W, p).
+  const std::int32_t a_max = std::min(geom.width(), p);
+  for (std::int32_t a = 1; a <= a_max; ++a) {
     const std::int32_t b_min = static_cast<std::int32_t>((p + a - 1) / a);
     if (b_min > geom.length()) continue;
     const std::int64_t area = static_cast<std::int64_t>(a) * b_min;

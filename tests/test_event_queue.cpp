@@ -50,18 +50,21 @@ class MirroredQueues {
     const auto ev_c = calendar_.pop();
     const auto ev_h = heap_.pop();
     ASSERT_DOUBLE_EQ(ev_c.time, ev_h.time);
+    last_pop_ = ev_c.time;
     ev_c.invoke();
     ev_h.invoke();
     ASSERT_EQ(calendar_fired_.back(), heap_fired_.back());
   }
 
   void drain_and_check() {
-    while (!heap_.empty()) pop_and_check();
+    // A failed pop check returns before popping; stop rather than spin.
+    while (!heap_.empty() && !::testing::Test::HasFatalFailure()) pop_and_check();
     EXPECT_TRUE(calendar_.empty());
     EXPECT_EQ(calendar_fired_, heap_fired_);
   }
 
   void clear() {
+    last_pop_ = 0;
     calendar_.clear();
     heap_.clear();
     calendar_fired_.clear();
@@ -70,6 +73,8 @@ class MirroredQueues {
 
   [[nodiscard]] EventQueue& calendar() { return calendar_; }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  /// Time of the last pop (0 before the first).
+  [[nodiscard]] SimTime last_pop() const { return last_pop_; }
 
  private:
   static void record(void* fired, std::uint64_t id) {
@@ -81,6 +86,7 @@ class MirroredQueues {
   std::vector<int> calendar_fired_;
   std::vector<int> heap_fired_;
   int next_id_{0};
+  SimTime last_pop_{0};
 };
 
 TEST(CalendarQueue, OrdersByTime) {
@@ -359,6 +365,141 @@ TEST(CalendarQueue, SimulatorRunsBitIdenticallyOnBothEngines) {
   }
   EXPECT_EQ(traces[0], traces[1]);
   EXPECT_EQ(traces[0], traces[2]);
+}
+
+// ---------------------------------------------------------------------------
+// The same-instant lane: pushes at the last pop's time bypass the buckets
+// and merge back by (time, seq).
+// ---------------------------------------------------------------------------
+
+TEST(CalendarLane, MergesWithSameTimeCalendarEventsPushedEarlier) {
+  for (const EventEngine engine : {EventEngine::kCalendar, EventEngine::kCrossCheck}) {
+    EventQueue q(engine);
+    std::vector<int> fired;
+    auto record = [&](std::uint64_t v) { fired.push_back(static_cast<int>(v)); };
+    q.push(2.0, owned(record), 0);
+    q.push(2.0, owned(record), 1);
+    q.push(2.0, owned(record), 2);
+    q.push(3.0, owned(record), 9);
+    EXPECT_EQ(q.lane_size(), 0u);  // nothing popped yet: no lane time
+    q.pop().invoke();              // id 0 at t=2; ids 1, 2 wait in a bucket
+    q.push(2.0, owned(record), 3);
+    q.push(2.0, owned(record), 4);
+    EXPECT_EQ(q.lane_size(), 2u);
+    EXPECT_EQ(q.size(), 5u);
+    EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+    q.pop().invoke();  // id 1: the bucket's earlier seq beats the lane front
+    EXPECT_EQ(q.lane_size(), 2u);
+    q.push(2.0, owned(record), 5);  // joins the lane behind ids 3 and 4
+    EXPECT_EQ(q.lane_size(), 3u);
+    while (!q.empty()) q.pop().invoke();
+    EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 9}));
+    EXPECT_EQ(q.lane_size(), 0u);
+  }
+}
+
+TEST(CalendarLane, RefusesPushesIntoThePast) {
+  // The queue itself accepts times before the last pop (only the Simulator
+  // forbids them); such an event must go to the buckets, and once it has
+  // popped, the lane still holds only its own timestamp.
+  MirroredQueues m;
+  m.push(10.0);
+  m.pop_and_check();  // last pop: t = 10
+  m.push(10.0);
+  EXPECT_EQ(m.calendar().lane_size(), 1u);
+  m.push(5.0);  // into the past: buckets
+  EXPECT_EQ(m.calendar().lane_size(), 1u);
+  EXPECT_DOUBLE_EQ(m.calendar().next_time(), 5.0);
+  m.pop_and_check();  // t = 5 from the buckets, ahead of the lane
+  EXPECT_DOUBLE_EQ(m.last_pop(), 5.0);
+  m.push(5.0);   // the lane holds t = 10: refused
+  m.push(10.0);  // t = 10 is not the last pop's time: refused
+  EXPECT_EQ(m.calendar().lane_size(), 1u);
+  m.push(7.0);
+  EXPECT_DOUBLE_EQ(m.calendar().next_time(), 5.0);
+  m.drain_and_check();  // 5, 7, 10 (lane), 10 (bucket)
+}
+
+TEST(CalendarLane, ClearForgetsTheLaneBetweenReplications) {
+  MirroredQueues m;
+  m.push(4.0);
+  m.pop_and_check();
+  m.push(4.0);
+  m.push(4.0);
+  EXPECT_EQ(m.calendar().lane_size(), 2u);
+  m.clear();
+  EXPECT_EQ(m.calendar().lane_size(), 0u);
+  EXPECT_TRUE(m.calendar().empty());
+  m.push(4.0);  // no pop since clear(): the lane has no time yet
+  EXPECT_EQ(m.calendar().lane_size(), 0u);
+  m.push(1.0);
+  m.pop_and_check();  // t = 1
+  m.push(1.0);
+  EXPECT_EQ(m.calendar().lane_size(), 1u);
+  m.drain_and_check();
+}
+
+TEST(CalendarLane, RandomizedEquivalenceWithSameInstantPushes) {
+  // Pushes at the last pop's time (the lane), into the past, at clustered
+  // future times and far ahead, with mid-flight clears; the calendar must
+  // pop exactly the heap's order throughout.
+  Xoshiro256SS rng(0x1A4E);
+  MirroredQueues m;
+  std::size_t lane_seen = 0;
+  for (int rep = 0; rep < 4; ++rep) {
+    for (int step = 0; step < 20000; ++step) {
+      if (m.size() == 0 || rng.next_double() < 0.55) {
+        const double u = rng.next_double();
+        const double now = m.last_pop();
+        if (u < 0.4) {
+          m.push(now);
+        } else if (u < 0.5) {
+          m.push(now * rng.next_double());  // the past (or now when 0)
+        } else if (u < 0.8) {
+          m.push(now + static_cast<double>(procsim::des::sample_uniform_int(rng, 0, 3)));
+        } else {
+          m.push(now + procsim::des::sample_exponential(rng, 50.0));
+        }
+        lane_seen = std::max(lane_seen, m.calendar().lane_size());
+      } else {
+        m.pop_and_check();
+      }
+    }
+    if (rep % 2 == 0) m.drain_and_check();
+    m.clear();
+  }
+  EXPECT_GT(lane_seen, 3u);
+}
+
+TEST(CalendarLane, CrossCheckShadowsLaneEvents) {
+  // Under kCrossCheck every pop, lane pops included, is compared with the
+  // heap shadow; a schedule that keeps the lane busy must stay clean.
+  EventQueue q(EventEngine::kCrossCheck);
+  int fired = 0;
+  auto count = [&fired] { ++fired; };
+  std::size_t lane_seen = 0;
+  q.push(0.0, owned(count));
+  for (int step = 0; step < 5000 && !q.empty(); ++step) {
+    const auto ev = q.pop();
+    ev.invoke();
+    q.push(ev.time, owned(count));  // same instant: the lane
+    if (step % 3 == 0) q.push(ev.time + 1.0, owned(count));
+    lane_seen = std::max(lane_seen, q.lane_size());
+    if (q.size() > 50) (void)q.pop();
+  }
+  while (!q.empty()) q.pop().invoke();
+  EXPECT_GT(fired, 0);
+  EXPECT_GT(lane_seen, 0u);
+}
+
+TEST(CalendarLane, HeapEngineHasNoLane) {
+  EventQueue q(EventEngine::kHeap);
+  auto noop = [] {};
+  q.push(1.0, owned(noop));
+  (void)q.pop();
+  q.push(1.0, owned(noop));
+  EXPECT_EQ(q.lane_size(), 0u);
+  EXPECT_EQ(q.size(), 1u);
 }
 
 }  // namespace

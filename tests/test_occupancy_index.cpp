@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "alloc/registry.hpp"
@@ -453,6 +455,130 @@ INSTANTIATE_TEST_SUITE_P(Meshes, CarvingEquivalence,
 /// (README "Allocators & the occupancy index"): (1) maximum capped area,
 /// (2) smallest width among equal areas, (3) first row-major (y, x) base.
 /// Each case also re-checks the claim against the oracle on the same state.
+/// The row summaries are recomputed only for dirty rows, and a block's max
+/// run only when one of its rows was dirty. Churn on meshes whose length
+/// ends exactly at, just before and just after a 64-row block boundary (and
+/// crosses two), and whose width has no, a full or a partial tail word:
+/// after every operation max_free_run() equals a from-scratch row scan, and
+/// first_fit/best_fit agree with FreeSubmeshScan — checked by verify mode
+/// inside the index too. A second index sees the same operations but is
+/// queried only every seventh step, so dirty rows pile up across blocks
+/// between two summary refreshes.
+class DirtyRowSummaries
+    : public ::testing::TestWithParam<std::tuple<std::int32_t, std::int32_t>> {};
+
+/// Longest run of free nodes over all rows, straight from the per-node state.
+std::int32_t scanned_max_free_run(const MeshState& state) {
+  const Geometry& g = state.geometry();
+  std::int32_t best = 0;
+  for (std::int32_t y = 0; y < g.length(); ++y) {
+    std::int32_t run = 0;
+    for (std::int32_t x = 0; x < g.width(); ++x) {
+      run = state.is_busy(Coord{x, y}) ? 0 : run + 1;
+      best = std::max(best, run);
+    }
+  }
+  return best;
+}
+
+TEST_P(DirtyRowSummaries, MatchScratchScansUnderChurn) {
+  const auto [w, l] = GetParam();
+  const procsim::testing::VerifyScope verify(true);
+  procsim::des::Xoshiro256SS rng(0xD1 + static_cast<std::uint64_t>(w * 1000 + l));
+  const Geometry g(w, l);
+  MeshState state(g);
+  OccupancyIndex eager(g);
+  OccupancyIndex lazy(g);
+  std::vector<SubMesh> live;
+
+  const auto check = [&](OccupancyIndex& idx, int step) {
+    ASSERT_EQ(idx.max_free_run(), scanned_max_free_run(state)) << "step " << step;
+    const FreeSubmeshScan oracle(state);
+    const auto qa =
+        static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, w));
+    const auto qb =
+        static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, (l + 3) / 4));
+    ASSERT_EQ(idx.first_fit(qa, qb), oracle.first_fit(qa, qb))
+        << "step " << step << " q=" << qa << "x" << qb;
+    ASSERT_EQ(idx.best_fit(qa, qb), oracle.best_fit(qa, qb))
+        << "step " << step << " q=" << qa << "x" << qb;
+  };
+
+  for (int step = 0; step < 140; ++step) {
+    const double u = rng.next_double();
+    if (step == 70) {
+      // A fresh replication: every row is dirty again.
+      state = MeshState(g);
+      eager.clear();
+      lazy.clear();
+      live.clear();
+    } else if (live.empty() || u < 0.45) {
+      // Rectangles from full-width bands to small tiles, placed by the
+      // oracle so the test does not trust the index for placement.
+      const auto a =
+          static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, w));
+      const auto b = static_cast<std::int32_t>(
+          procsim::des::sample_uniform_int(rng, 1, (l + 7) / 8));
+      if (const auto s = FreeSubmeshScan(state).first_fit(a, b)) {
+        state.allocate(*s);
+        eager.allocate(*s);
+        lazy.allocate(*s);
+        live.push_back(*s);
+      }
+    } else if (u < 0.6) {
+      // A single node anywhere in the mesh.
+      const auto n =
+          static_cast<NodeId>(procsim::des::sample_uniform_int(rng, 0, g.nodes() - 1));
+      if (!state.is_busy(n)) {
+        const Coord c = g.coord(n);
+        const SubMesh s{c.x, c.y, c.x, c.y};
+        state.allocate(s);
+        eager.allocate(n);
+        lazy.allocate(n);
+        live.push_back(s);
+      }
+    } else {
+      const auto i = static_cast<std::size_t>(procsim::des::sample_uniform_int(
+          rng, 0, static_cast<std::int64_t>(live.size()) - 1));
+      state.release(live[i]);
+      eager.release(live[i]);
+      lazy.release(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    }
+    check(eager, step);
+    if (step % 7 == 6) check(lazy, step);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BlockAndWordEdges, DirtyRowSummaries,
+    ::testing::Combine(::testing::Values(63, 64, 65, 200),
+                       ::testing::Values(63, 64, 65, 130)));
+
+TEST(OccupancyIndex, BlockMaximaFallAndRiseWithTheirRows) {
+  // Fill a 200x130 mesh row by row, then free single nodes: a block's max
+  // run must drop once its last free row is gone and rise again when one
+  // of its rows frees, whichever block the change lands in.
+  const procsim::testing::VerifyScope verify(true);
+  const Geometry g(200, 130);
+  OccupancyIndex idx(g);
+  for (std::int32_t y = 0; y < g.length(); ++y) {
+    EXPECT_EQ(idx.max_free_run(), g.width()) << "row " << y;
+    idx.allocate(SubMesh{0, y, g.width() - 1, y});
+  }
+  EXPECT_EQ(idx.max_free_run(), 0);
+  EXPECT_EQ(idx.first_fit(1, 1), std::nullopt);
+  idx.release(g.id(Coord{199, 129}));  // the partial tail block
+  EXPECT_EQ(idx.max_free_run(), 1);
+  idx.release(SubMesh{10, 70, 14, 70});  // the middle block
+  EXPECT_EQ(idx.max_free_run(), 5);
+  EXPECT_EQ(idx.first_fit(5, 1), SubMesh::from_base(Coord{10, 70}, 5, 1));
+  idx.allocate(SubMesh{10, 70, 14, 70});
+  EXPECT_EQ(idx.max_free_run(), 1);
+  EXPECT_EQ(idx.best_fit(1, 1), SubMesh::from_base(Coord{199, 129}, 1, 1));
+}
+
 TEST(OccupancyIndex, LargestFreeTieBreaksMatchDocumentedOrder) {
   const Geometry g(16, 16);
   const auto oracle_agrees = [](const OccupancyIndex& idx, std::int32_t cw,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -11,8 +12,12 @@
 
 #include "alloc/gabl.hpp"
 #include "alloc/paging.hpp"
+#include "alloc/registry.hpp"
 #include "broken_source.hpp"
+#include "core/job_arena.hpp"
 #include "core/job_record_store.hpp"
+#include "des/distributions.hpp"
+#include "network/traffic.hpp"
 #include "core/system_sim.hpp"
 #include "sched/ordered_scheduler.hpp"
 #include "workload/stochastic.hpp"
@@ -458,6 +463,137 @@ TEST(VerifySwitch, DefaultSystemSimRunsEveryOracleAndKeepsItsBytes) {
   EXPECT_EQ(plain.utilization, verified.utilization);
   EXPECT_EQ(plain.makespan, verified.makespan);
   EXPECT_GT(verified.events, plain.events);
+}
+
+// ---------------------------------------------------------------------------
+// StreamSet: built straight from the plan and the blocks, checked against
+// network::map_plan grouped the way the former per-job map grouped it.
+// ---------------------------------------------------------------------------
+
+using procsim::core::StreamSet;
+using procsim::mesh::NodeId;
+using procsim::mesh::SubMesh;
+using procsim::network::IndexPair;
+using procsim::network::TrafficPattern;
+using Streams = std::vector<std::pair<NodeId, std::vector<NodeId>>>;
+
+/// The oracle: map_plan's sources ascending, each with its destinations in
+/// plan order.
+Streams oracle_streams(const std::vector<IndexPair>& plan,
+                       const std::vector<SubMesh>& blocks, const Geometry& geom,
+                       std::int32_t processors) {
+  std::map<NodeId, std::vector<NodeId>> grouped;
+  for (const auto& [src, dst] :
+       procsim::network::map_plan(plan, blocks, geom, processors))
+    grouped[src].push_back(dst);
+  return {grouped.begin(), grouped.end()};
+}
+
+/// Every stream of `set` in source order, drained through next_at.
+Streams drain(StreamSet& set) {
+  Streams out;
+  for (std::size_t i = 0; i < set.sources(); ++i) {
+    out.emplace_back(set.source(i), std::vector<NodeId>{});
+    while (const auto dst = set.next_at(i)) out.back().second.push_back(*dst);
+  }
+  return out;
+}
+
+TEST(StreamSet, MatchesTheMapPlanOracleForEveryAllocatorAndPattern) {
+  // Placements from every registry allocator (multi-block Paging(0), MBS,
+  // GABL's bounding blocks, Random's single nodes) under churn, plans over
+  // all four patterns, and a few StreamSets reused across jobs of every
+  // size — all sharing one scratch, as a simulator's arena does.
+  const TrafficPattern patterns[] = {TrafficPattern::kAllToAll, TrafficPattern::kOneToAll,
+                                     TrafficPattern::kRandomPairs,
+                                     TrafficPattern::kRingNeighbour};
+  for (const Geometry geom : {Geometry(16, 22), Geometry(37, 29)}) {
+    for (const std::string& name : procsim::alloc::known_allocators()) {
+      SCOPED_TRACE(name + " on " + std::to_string(geom.width()) + "x" +
+                   std::to_string(geom.length()));
+      auto alloc = procsim::alloc::make_allocator(name, geom, {.seed = 11});
+      procsim::des::Xoshiro256SS rng(0x57EA);
+      StreamSet::Scratch scratch;
+      std::vector<StreamSet> sets(3);
+      std::vector<procsim::alloc::Placement> live;
+      int built = 0;
+      for (int step = 0; step < 150; ++step) {
+        if (!live.empty() && (rng.next_double() < 0.4 || live.size() > 6)) {
+          const auto k = static_cast<std::size_t>(procsim::des::sample_uniform_int(
+              rng, 0, static_cast<std::int64_t>(live.size()) - 1));
+          alloc->release(live[k]);
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+          continue;
+        }
+        const auto a = static_cast<std::int32_t>(
+            procsim::des::sample_uniform_int(rng, 1, geom.width() / 2));
+        const auto b = static_cast<std::int32_t>(
+            procsim::des::sample_uniform_int(rng, 1, geom.length() / 2));
+        const auto p = static_cast<std::int32_t>(
+            procsim::des::sample_uniform_int(rng, std::max(1, a * b / 2), a * b));
+        auto placement = alloc->allocate({a, b, p});
+        if (!placement) continue;
+        const TrafficPattern pattern = patterns[built % 4];
+        const auto count = procsim::des::sample_uniform_int(rng, 0, 3 * p);
+        const auto plan = procsim::network::generate_message_plan(pattern, p, count, rng);
+        StreamSet& set = sets[static_cast<std::size_t>(
+            procsim::des::sample_uniform_int(rng, 0, 2))];
+        set.build(plan, placement->blocks, geom, p, scratch);
+        EXPECT_EQ(set.messages(), plan.size());
+        ASSERT_EQ(drain(set), oracle_streams(plan, placement->blocks, geom, p))
+            << "pattern " << procsim::network::to_string(pattern) << ", p = " << p;
+        live.push_back(std::move(*placement));
+        ++built;
+      }
+      EXPECT_GT(built, 40);
+    }
+  }
+}
+
+TEST(StreamSet, BadIndexThrowsBeforeAnyStreamStateChanges) {
+  const Geometry geom(8, 8);
+  const std::vector<SubMesh> blocks{SubMesh{0, 0, 1, 1}, SubMesh{4, 4, 5, 5}};  // 8 nodes
+  const std::vector<IndexPair> good{{0, 5}, {5, 0}, {2, 7}, {0, 3}};
+  const Streams want = oracle_streams(good, blocks, geom, 8);
+  StreamSet::Scratch scratch;
+  StreamSet set;
+  const std::vector<std::pair<std::vector<IndexPair>, std::int32_t>> bad{
+      {{{0, 1}, {1, 8}}, 8},   // destination == processors
+      {{{0, 1}, {-1, 2}}, 8},  // negative source
+      {{{3, 2}, {2, 2}}, 8},   // a message to itself
+      {{{0, 1}, {0, 6}}, 6},   // inside the blocks, outside the compute nodes
+      {{{0, 1}, {9, 0}}, 10},  // a compute index the blocks do not hold
+  };
+  for (const auto& [plan, processors] : bad) {
+    set.build(good, blocks, geom, 8, scratch);
+    EXPECT_THROW(set.build(plan, blocks, geom, processors, scratch),
+                 std::invalid_argument);
+    EXPECT_EQ(drain(set), want);  // the previous job's streams, untouched
+  }
+  // The rejected plans left no marks in the shared scratch.
+  set.build(good, blocks, geom, 8, scratch);
+  EXPECT_EQ(drain(set), want);
+}
+
+TEST(StreamSet, SlotReusedAfterALargeJobBuildsASmallJobCorrectly) {
+  const Geometry geom(16, 22);
+  procsim::des::Xoshiro256SS rng(3);
+  StreamSet::Scratch scratch;
+  StreamSet set;
+  const std::vector<SubMesh> whole{SubMesh{0, 0, 15, 21}};
+  const auto big = procsim::network::generate_message_plan(TrafficPattern::kRandomPairs,
+                                                           geom.nodes(), 4000, rng);
+  set.build(big, whole, geom, geom.nodes(), scratch);
+  EXPECT_EQ(drain(set), oracle_streams(big, whole, geom, geom.nodes()));
+
+  const std::vector<SubMesh> pair{SubMesh{7, 9, 8, 9}};
+  const std::vector<IndexPair> small{{1, 0}, {0, 1}, {1, 0}};
+  set.build(small, pair, geom, 2, scratch);
+  EXPECT_EQ(set.sources(), 2u);
+  EXPECT_EQ(set.messages(), 3u);
+  EXPECT_EQ(drain(set), oracle_streams(small, pair, geom, 2));
+  EXPECT_EQ(set.advance(geom.id({7, 9})), std::nullopt);  // exhausted stream
+  EXPECT_THROW((void)set.advance(geom.id({0, 0})), std::logic_error);
 }
 
 }  // namespace

@@ -66,6 +66,33 @@ TEST(Shape, PrefersSquareAmongEqualAreas) {
   EXPECT_EQ(a + b, 12);  // 6×6, the minimal perimeter
 }
 
+TEST(Shape, BoundedScanMatchesTheFullWidthScan) {
+  // The search stops at width min(W, p); the reference below scans every
+  // width 1..W with the same (area, perimeter, first width) rule.
+  const auto full_scan = [](std::int32_t p, const Geometry& g) {
+    std::int64_t best_area = std::numeric_limits<std::int64_t>::max();
+    std::int32_t best_perim = std::numeric_limits<std::int32_t>::max();
+    std::pair<std::int32_t, std::int32_t> best{g.width(), g.length()};
+    for (std::int32_t a = 1; a <= g.width(); ++a) {
+      const std::int32_t b = (p + a - 1) / a;
+      if (b > g.length()) continue;
+      const std::int64_t area = static_cast<std::int64_t>(a) * b;
+      if (area < best_area || (area == best_area && a + b < best_perim)) {
+        best_area = area;
+        best_perim = a + b;
+        best = {a, b};
+      }
+    }
+    return best;
+  };
+  for (const Geometry g :
+       {Geometry(16, 22), Geometry(7, 3), Geometry(3, 7), Geometry(256, 256)}) {
+    for (std::int32_t p = 1; p <= g.nodes(); ++p)
+      ASSERT_EQ(shape_for_processors(p, g), full_scan(p, g))
+          << "p=" << p << " on " << g.width() << "x" << g.length();
+  }
+}
+
 TEST(Shape, RejectsBadInputs) {
   const Geometry g(4, 4);
   EXPECT_THROW((void)shape_for_processors(0, g), std::invalid_argument);
