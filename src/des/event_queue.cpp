@@ -134,16 +134,18 @@ void EventQueue::calendar_push(const Event& ev) {
 
 Event EventQueue::calendar_pop() {
   Event out;
+  // One calendar scan per pop, shared by the merge and the bucket pop.
+  const std::size_t min_bucket = bucket_size_ == 0 ? 0 : find_min_bucket();
   if (lane_head_ != lane_.size() &&
       (bucket_size_ == 0 ||
-       event_before(lane_[lane_head_], buckets_[find_min_bucket()].front()))) {
+       event_before(lane_[lane_head_], buckets_[min_bucket].front()))) {
     out = lane_[lane_head_++];
     if (lane_head_ == lane_.size()) {
       lane_.clear();  // keeps capacity
       lane_head_ = 0;
     }
   } else {
-    out = bucket_pop();
+    out = bucket_pop(min_bucket);
     if (buckets_.size() > kMinBuckets && bucket_size_ < buckets_.size() / kShrinkDivisor)
       rebucket(buckets_.size() / 2);
   }
@@ -203,8 +205,8 @@ std::size_t EventQueue::find_min_bucket() const {
   return best_idx;
 }
 
-Event EventQueue::bucket_pop() {
-  Bucket& b = buckets_[find_min_bucket()];
+Event EventQueue::bucket_pop(std::size_t min_bucket) {
+  Bucket& b = buckets_[min_bucket];
   const Event out = b.items[b.head];
   ++b.head;
   if (b.drained()) {

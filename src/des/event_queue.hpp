@@ -98,7 +98,8 @@ class EventQueue {
   /// The (time, seq)-earlier of the lane front and the bucket minimum.
   [[nodiscard]] Event calendar_pop();
   void bucket_push(const Event& ev);
-  [[nodiscard]] Event bucket_pop();
+  /// Pops the front of `min_bucket`, which find_min_bucket() returned.
+  [[nodiscard]] Event bucket_pop(std::size_t min_bucket);
   /// Positions cur_slot_/cur_bucket_ on the bucket holding the earliest
   /// pending event (the calendar scan; falls back to a direct search after
   /// one full year). Precondition: bucket_size_ > 0. Logically const: only

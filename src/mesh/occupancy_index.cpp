@@ -611,9 +611,7 @@ std::optional<SubMesh> OccupancyIndex::first_fit(std::int32_t a, std::int32_t b)
                   [&] { return FreeSubmeshScan(to_mesh_state()).first_fit(a, b); });
 }
 
-std::optional<SubMesh> OccupancyIndex::first_fit_assuming_free(
-    std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const {
-  ++qstats_.first_fit_queries;
+void OccupancyIndex::assume_free(const std::vector<SubMesh>& extra_free) const {
   assume_ = free_;
   for (const SubMesh& s : extra_free) {
     check_inside(s);
@@ -625,16 +623,28 @@ std::optional<SubMesh> OccupancyIndex::first_fit_assuming_free(
         r[w] |= bit_range(w == w1 ? s.x1 % 64 : 0, w == w2 ? s.x2 % 64 : 63);
     }
   }
+}
+
+std::optional<SubMesh> OccupancyIndex::first_fit_assumed(std::int32_t a,
+                                                         std::int32_t b) const {
+  ++qstats_.first_fit_queries;
   const auto got = first_fit_impl(assume_.data(), a, b);
   return verified("first_fit_assuming_free", a, b, got, [&] {
     return FreeSubmeshScan(snapshot(geom_, assume_.data(), words_)).first_fit(a, b);
   });
 }
 
+std::optional<SubMesh> OccupancyIndex::first_fit_assuming_free(
+    std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const {
+  assume_free(extra_free);
+  return first_fit_assumed(a, b);
+}
+
 std::optional<SubMesh> OccupancyIndex::first_fit_rotatable_assuming_free(
     std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const {
-  if (auto s = first_fit_assuming_free(a, b, extra_free)) return s;
-  if (a != b) return first_fit_assuming_free(b, a, extra_free);
+  assume_free(extra_free);
+  if (auto s = first_fit_assumed(a, b)) return s;
+  if (a != b) return first_fit_assumed(b, a);
   return std::nullopt;
 }
 

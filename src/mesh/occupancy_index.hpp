@@ -107,7 +107,10 @@ class OccupancyIndex {
   [[nodiscard]] std::optional<SubMesh> first_fit_assuming_free(
       std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const;
 
-  /// Rotatable variant of the hypothetical-occupancy first fit.
+  /// Rotatable variant of the hypothetical-occupancy first fit: a×b, then
+  /// b×a when a != b, both searched on the one bitmap that ORs `extra_free`
+  /// in, so the copy and the OR are paid once per call, not per orientation.
+  /// Each orientation still counts as one first-fit query.
   [[nodiscard]] std::optional<SubMesh> first_fit_rotatable_assuming_free(
       std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const;
 
@@ -204,6 +207,12 @@ class OccupancyIndex {
   void ensure_run_row(const std::uint64_t* bits, std::int32_t y, std::int32_t a) const;
   /// win_ = AND of runs_ rows [y, y+b); false (with early exit) if empty.
   [[nodiscard]] bool window_into_win(std::int32_t y, std::int32_t b) const;
+
+  /// assume_ = the bitmap with every node of `extra_free` marked free.
+  void assume_free(const std::vector<SubMesh>& extra_free) const;
+  /// A counted, verified first fit on assume_ as assume_free left it.
+  [[nodiscard]] std::optional<SubMesh> first_fit_assumed(std::int32_t a,
+                                                         std::int32_t b) const;
 
   [[nodiscard]] std::optional<SubMesh> first_fit_impl(const std::uint64_t* bits,
                                                       std::int32_t a,

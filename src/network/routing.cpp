@@ -43,6 +43,13 @@ mesh::NodeId ChannelMap::neighbour(mesh::NodeId n, Direction dir) const noexcept
 }
 
 std::vector<ChannelId> ChannelMap::route(mesh::NodeId src, mesh::NodeId dst) const {
+  std::vector<ChannelId> path;
+  route_into(src, dst, path);
+  return path;
+}
+
+void ChannelMap::route_into(mesh::NodeId src, mesh::NodeId dst,
+                            std::vector<ChannelId>& path) const {
   if (src == dst) throw std::invalid_argument("ChannelMap::route: src == dst");
   const mesh::Coord a = geom_.coord(src);
   const mesh::Coord b = geom_.coord(dst);
@@ -51,15 +58,25 @@ std::vector<ChannelId> ChannelMap::route(mesh::NodeId src, mesh::NodeId dst) con
   const AxisPlan py =
       plan_axis(a.y, b.y, geom_.length(), torus_, Direction::kNorth, Direction::kSouth);
 
-  std::vector<ChannelId> path;
+  path.clear();
   path.reserve(static_cast<std::size_t>(px.steps + py.steps) + 2);
   path.push_back(injection(src));
 
   mesh::NodeId cur = src;
-  const auto walk_axis = [&](const AxisPlan& plan) {
-    std::int32_t vc = 0;
-    for (std::int32_t i = 0; i < plan.steps; ++i) {
-      if (torus_) {
+  if (!torus_) {
+    // Mesh: no wrap, so a hop east/west/north/south is id ±1 / ±W.
+    const auto walk_axis = [&](const AxisPlan& plan, mesh::NodeId stride) {
+      const mesh::NodeId step =
+          plan.dir == Direction::kEast || plan.dir == Direction::kNorth ? stride : -stride;
+      for (std::int32_t i = 0; i < plan.steps; ++i, cur += step)
+        path.push_back(link(cur, plan.dir));
+    };
+    walk_axis(px, 1);
+    walk_axis(py, geom_.width());
+  } else {
+    const auto walk_axis = [&](const AxisPlan& plan) {
+      std::int32_t vc = 0;
+      for (std::int32_t i = 0; i < plan.steps; ++i) {
         // Dateline: the wrap-around link and everything after it in this
         // dimension use VC1.
         const mesh::Coord c = geom_.coord(cur);
@@ -69,16 +86,15 @@ std::vector<ChannelId> ChannelMap::route(mesh::NodeId src, mesh::NodeId dst) con
             (plan.dir == Direction::kNorth && c.y == geom_.length() - 1) ||
             (plan.dir == Direction::kSouth && c.y == 0);
         if (wraps) vc = 1;
+        path.push_back(link(cur, plan.dir, vc));
+        cur = neighbour(cur, plan.dir);
       }
-      path.push_back(link(cur, plan.dir, vc));
-      cur = neighbour(cur, plan.dir);
-    }
-  };
-  walk_axis(px);
-  walk_axis(py);
+    };
+    walk_axis(px);
+    walk_axis(py);
+  }
 
   path.push_back(ejection(dst));
-  return path;
 }
 
 std::int32_t ChannelMap::hop_count(mesh::NodeId src, mesh::NodeId dst) const noexcept {

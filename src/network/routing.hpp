@@ -63,6 +63,10 @@ class ChannelMap {
   /// to dst's ejection port, dateline VCs applied on the torus.
   /// Precondition: src != dst.
   [[nodiscard]] std::vector<ChannelId> route(mesh::NodeId src, mesh::NodeId dst) const;
+  /// route() written into `path` (cleared first, capacity reused), so a
+  /// recycled packet slot routes without allocating. Mesh hops step node ids
+  /// by ±1 / ±W; the torus keeps its dateline walk.
+  void route_into(mesh::NodeId src, mesh::NodeId dst, std::vector<ChannelId>& path) const;
 
   /// Number of links an XY-routed packet traverses (torus: shorter way).
   [[nodiscard]] std::int32_t hop_count(mesh::NodeId src, mesh::NodeId dst) const noexcept;

@@ -87,7 +87,7 @@ std::int32_t WormholeNetwork::alloc_packet(EngineState& st, mesh::NodeId src,
     st.pool.emplace_back();
   }
   Packet& p = st.pool[static_cast<std::size_t>(idx)];
-  p.path = map_.route(src, dst);  // reuses pool slot; vector realloc amortises
+  map_.route_into(src, dst, p.path);  // reuses the recycled slot's capacity
   p.next = 0;
   p.res_end = 0;
   p.next_waiter = -1;

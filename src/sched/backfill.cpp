@@ -40,7 +40,7 @@ std::optional<std::size_t> BackfillScheduler::select_easy(const AllocProbe& prob
     head_ = easy_reservation(head, snap, use_shape);
     // When even draining every running job cannot seat the head, there is
     // no reservation to protect — plain first-fit backfill applies.
-    if (head_.reachable) first_reservation_.emplace(head.job_id, head_.shadow);
+    if (head_.reachable) first_reservation_.try_emplace(head.job_id, head_.shadow);
     from = 1;
   }
   return easy_backfill(probe, snap, head_, from);
@@ -107,23 +107,46 @@ std::optional<std::size_t> BackfillScheduler::select_conservative(
     if (empty()) return std::nullopt;
     // Fast path shared with every discipline: a fitting head starts.
     if (probe(job_at(0))) return 0;
-    build_profile(profile_, snap);
+    build_profile(profile_, releases_, snap, use_shape);
   }
-  return walk_conservative(profile_, probe, snap, use_shape, from, /*record=*/true);
+  return walk_conservative(profile_, releases_, probe, snap, use_shape, from,
+                           /*record=*/true);
 }
 
-void BackfillScheduler::build_profile(CapacityProfile& profile,
-                                      const SchedSnapshot& snap) const {
+const std::vector<mesh::SubMesh>& BackfillScheduler::ReleaseTable::released_by(
+    std::size_t k) {
+  const std::size_t n = k == 0 ? 0 : end[k - 1];
+  if (n < released.size())
+    released.erase(released.begin() + static_cast<std::ptrdiff_t>(n), released.end());
+  else
+    released.insert(released.end(),
+                    blocks.begin() + static_cast<std::ptrdiff_t>(released.size()),
+                    blocks.begin() + static_cast<std::ptrdiff_t>(n));
+  return released;
+}
+
+void BackfillScheduler::build_profile(CapacityProfile& profile, ReleaseTable& table,
+                                      const SchedSnapshot& snap, bool use_shape) const {
   // Overdue estimates (still running past start + demand) release "any
   // moment now".
   profile.reset(snap.now, snap.free_processors);
-  for (const Running& r : running_)
-    profile.add_release(std::max(r.finish_estimate, snap.now), r.allocated);
+  table.at.clear();
+  table.end.clear();
+  table.blocks.clear();
+  table.released.clear();
+  for (const Running& r : running_) {
+    const double at = std::max(r.finish_estimate, snap.now);
+    profile.add_release(at, r.allocated);
+    if (!use_shape) continue;
+    table.at.push_back(at);
+    table.blocks.insert(table.blocks.end(), r.blocks.begin(), r.blocks.end());
+    table.end.push_back(table.blocks.size());
+  }
 }
 
 std::optional<std::size_t> BackfillScheduler::walk_conservative(
-    CapacityProfile& profile, const AllocProbe& probe, const SchedSnapshot& snap,
-    bool use_shape, std::size_t from, bool record) {
+    CapacityProfile& profile, ReleaseTable& table, const AllocProbe& probe,
+    const SchedSnapshot& snap, bool use_shape, std::size_t from, bool record) {
   // Walk the queue in FCFS order, reserving every job's earliest feasible
   // slot. A job whose slot is *now* (and whose real allocation the probe
   // approves) is nominated; anything later holds its reservation so no
@@ -141,25 +164,23 @@ std::optional<std::size_t> BackfillScheduler::walk_conservative(
       // the running releases until the job's sub-mesh fits the blocks
       // released by then. Reservations of queued jobs are invisible to the
       // bitmap (their placements are unknown), so this refinement is exact
-      // against the running set and count-based against the queue.
-      released_scratch_.clear();
-      auto it = running_.begin();
-      for (; it != running_.end(); ++it) {
-        if (std::max(it->finish_estimate, snap.now) > t) break;
-        released_scratch_.insert(released_scratch_.end(), it->blocks.begin(),
-                                 it->blocks.end());
-      }
-      while (it != running_.end() && !(*snap.shape_fit)(c, released_scratch_)) {
-        const double next_release = std::max(it->finish_estimate, snap.now);
-        t = profile.earliest_fit(std::max(t, next_release), c.processors, c.demand);
-        for (; it != running_.end() &&
-               std::max(it->finish_estimate, snap.now) <= t;
-             ++it)
-          released_scratch_.insert(released_scratch_.end(), it->blocks.begin(),
-                                   it->blocks.end());
+      // against the running set and count-based against the queue. `k`
+      // counts the releases at or before t; past the last one every running
+      // block is back and the count slot stands without a probe.
+      const auto released_at = [&](std::size_t from_k) {
+        return static_cast<std::size_t>(
+            std::upper_bound(table.at.begin() + static_cast<std::ptrdiff_t>(from_k),
+                             table.at.end(), t) -
+            table.at.begin());
+      };
+      std::size_t k = released_at(0);
+      while (k < table.at.size() && !(*snap.shape_fit)(c, table.released_by(k))) {
+        t = profile.earliest_fit(std::max(t, table.at[k]), c.processors, c.demand);
+        k = released_at(k);
       }
     }
-    if (record && t > snap.now) first_reservation_.emplace(c.job_id, t);
+    // try_emplace: a job already holding a first reservation costs no node.
+    if (record && t > snap.now) first_reservation_.try_emplace(c.job_id, t);
     profile.reserve(t, c.demand, c.processors);
   }
   return std::nullopt;
@@ -177,8 +198,10 @@ void BackfillScheduler::verify_resume(const AllocProbe& probe, const SchedSnapsh
     want = 0;
   } else if (opts_.conservative) {
     CapacityProfile fresh;
-    build_profile(fresh, snap);
-    want = walk_conservative(fresh, probe, snap, use_shape, 0, /*record=*/false);
+    ReleaseTable fresh_releases;
+    build_profile(fresh, fresh_releases, snap, use_shape);
+    want = walk_conservative(fresh, fresh_releases, probe, snap, use_shape, 0,
+                             /*record=*/false);
     same_state = fresh.steps() == profile_.steps();
   } else {
     const HeadReservation fresh = easy_reservation(head, snap, use_shape);

@@ -50,7 +50,12 @@ struct BackfillOptions {
 /// own reserved start is *now* — so no nomination can push any
 /// earlier-queued job's reservation back, the defining guarantee
 /// (starvation-free by construction, at the cost of backfill opportunities
-/// EASY would take).
+/// EASY would take). Shape-aware, the walk also builds a release table with
+/// the profile — each running job's release instant and the end of its
+/// blocks in one flat list — so a walked job's refinement locates its first
+/// unreleased job by binary search and passes the shape probe a prefix of
+/// that list, rebuilt only as far as it changed; most walked jobs of a
+/// saturated backlog reserve past the last release and never probe.
 ///
 /// **Resume.** A walk that nominates nobody is kept: the profile (EASY: the
 /// head's reservation), the instant, the free-processor count and the number
@@ -93,6 +98,10 @@ class BackfillScheduler final : public FifoBase {
   /// "backfill[:conservative][;shape]" — the registry spec grammar.
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] const BackfillOptions& options() const noexcept { return opts_; }
+  /// Conservative: the availability profile the last walk left behind (its
+  /// reservations up to where it stopped); stale after a select() that
+  /// started the head without walking.
+  [[nodiscard]] const CapacityProfile& profile() const noexcept { return profile_; }
   void clear() override;
 
   /// Reservation-keeping counters: a job's *first* reservation instant is
@@ -148,12 +157,28 @@ class BackfillScheduler final : public FifoBase {
                                                          const SchedSnapshot& snap,
                                                          const HeadReservation& res,
                                                          std::size_t from) const;
-  void build_profile(CapacityProfile& profile, const SchedSnapshot& snap) const;
+  /// The running set as one walk sees it, in estimated-finish order: job k
+  /// releases at `at[k]` = max(finish_estimate, now) and holds
+  /// blocks[end[k-1], end[k]). A shape refinement advances an index into it;
+  /// `released` is the prefix last handed to the shape probe, trimmed or
+  /// extended in place from `blocks`.
+  struct ReleaseTable {
+    std::vector<double> at;
+    std::vector<std::size_t> end;
+    std::vector<mesh::SubMesh> blocks;
+    std::vector<mesh::SubMesh> released;
+    /// The blocks of releases [0, k), as the shape probe takes them.
+    const std::vector<mesh::SubMesh>& released_by(std::size_t k);
+  };
+
+  /// A fresh walk's profile, and its release table when `use_shape`.
+  void build_profile(CapacityProfile& profile, ReleaseTable& table,
+                     const SchedSnapshot& snap, bool use_shape) const;
   /// Reserves positions [from, size()) on `profile` until one may start now;
   /// `record` keeps each job's first reservation instant.
   [[nodiscard]] std::optional<std::size_t> walk_conservative(
-      CapacityProfile& profile, const AllocProbe& probe, const SchedSnapshot& snap,
-      bool use_shape, std::size_t from, bool record);
+      CapacityProfile& profile, ReleaseTable& table, const AllocProbe& probe,
+      const SchedSnapshot& snap, bool use_shape, std::size_t from, bool record);
   /// PROCSIM_VERIFY: re-walks a resumed select from scratch; throws
   /// std::logic_error unless it nominates `got` and ends in the same state.
   void verify_resume(const AllocProbe& probe, const SchedSnapshot& snap, bool use_shape,
@@ -163,6 +188,9 @@ class BackfillScheduler final : public FifoBase {
 
   Resume resume_;
   CapacityProfile profile_;  ///< conservative: the kept walk's profile
+  /// Conservative ;shape: the kept walk's release table. Rebuilt with the
+  /// profile by every fresh walk, so it is read only while resume_ is valid.
+  ReleaseTable releases_;
   HeadReservation head_;     ///< EASY: the kept walk's head reservation
 
   /// Kept ordered by estimated finish so the reservation walks are plain
@@ -176,7 +204,7 @@ class BackfillScheduler final : public FifoBase {
   std::uint64_t reservations_honored_{0};
   std::uint64_t reservations_broken_{0};
 
-  // select() scratch (cleared per pass, capacity reused).
+  // EASY's head reservation scratch (cleared per pass, capacity reused).
   std::vector<mesh::SubMesh> released_scratch_;
 };
 

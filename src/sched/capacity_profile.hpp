@@ -11,7 +11,8 @@ namespace procsim::sched {
 /// infinity. Conservative backfilling builds one from the running set's
 /// estimated releases; reservations subtract capacity over their interval.
 /// Steps are kept strictly increasing in `t`, so the step active at an
-/// instant is found by binary search.
+/// instant is found by binary search — once per earliest_fit and once per
+/// reserve, which splits and subtracts in the same forward pass.
 class CapacityProfile {
  public:
   struct Step {
@@ -63,14 +64,24 @@ class CapacityProfile {
     }
   }
 
-  /// Subtracts `procs` over [t, t + duration) — a reservation.
+  /// Subtracts `procs` over [t, t + duration) — a reservation. One pass:
+  /// locate the step active at `t` once, split there, subtract forward up to
+  /// t + duration and split at the end, restoring the capacity the last
+  /// subtracted step had before.
   void reserve(double t, double duration, std::int64_t procs) {
     if (duration <= 0 || procs <= 0) return;
-    split_at(t);
-    split_at(t + duration);
-    for (std::size_t i = step_at(t); i < steps_.size() && steps_[i].t < t + duration;
-         ++i)
-      steps_[i].avail -= procs;
+    const double end = t + duration;
+    std::size_t i = step_at(t);
+    if (t > steps_.front().t && steps_[i].t != t) {
+      steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                    Step{t, steps_[i].avail});
+      ++i;
+    }
+    const std::size_t first = i;
+    for (; i < steps_.size() && steps_[i].t < end; ++i) steps_[i].avail -= procs;
+    if (i > first && (i == steps_.size() || steps_[i].t != end))
+      steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(i),
+                    Step{end, steps_[i - 1].avail + procs});
   }
 
   /// Index of the step active at `t`: the last step at or before `t`, or the
@@ -84,14 +95,6 @@ class CapacityProfile {
   [[nodiscard]] const std::vector<Step>& steps() const noexcept { return steps_; }
 
  private:
-  void split_at(double t) {
-    if (t <= steps_.front().t) return;
-    const std::size_t i = step_at(t);
-    if (steps_[i].t == t) return;
-    steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                  Step{t, steps_[i].avail});
-  }
-
   std::vector<Step> steps_;
 };
 

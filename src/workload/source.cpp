@@ -36,7 +36,7 @@ TraceSource::TraceSource(std::shared_ptr<const std::vector<TraceJob>> trace,
       replay_(replay),
       active_(replay),
       load_(load),
-      geom_(geom),
+      shapes_(geom),
       name_(std::move(name)) {
   if (!trace_) throw std::invalid_argument("TraceSource: null shared trace");
   stats_ = compute_stats(*trace_);
@@ -54,7 +54,7 @@ TraceSource::TraceSource(ParagonModelParams model, TraceReplayParams replay,
       replay_(replay),
       active_(replay),
       load_(load),
-      geom_(geom),
+      shapes_(geom),
       name_(std::move(name)) {}
 
 void TraceSource::do_reset(std::uint64_t seed) {
@@ -79,7 +79,7 @@ void TraceSource::do_reset(std::uint64_t seed) {
 std::optional<Job> TraceSource::generate() {
   if (next_ >= limit_) return std::nullopt;
   const std::size_t i = next_++;
-  return make_trace_job((*trace_)[i], i, active_, geom_, rng_);
+  return make_trace_job((*trace_)[i], i, active_, shapes_, rng_);
 }
 
 // ------------------------------------------------------------- saturation

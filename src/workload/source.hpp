@@ -165,7 +165,7 @@ class TraceSource final : public BufferedSource {
   TraceReplayParams replay_;       ///< template; arrival factor set per reset
   TraceReplayParams active_;       ///< the replication's effective params
   double load_;
-  mesh::Geometry geom_;
+  ShapeMemo shapes_;  ///< the mesh, and each processor count's shape
   std::string name_;
   TraceStats stats_;
   des::Xoshiro256SS rng_{1};

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "des/distributions.hpp"
-#include "workload/shape.hpp"
 
 namespace procsim::workload {
 
@@ -18,13 +17,13 @@ double arrival_factor_for_load(double load, double trace_mean_interarrival) {
 }
 
 Job make_trace_job(const TraceJob& rec, std::uint64_t index,
-                   const TraceReplayParams& params, const mesh::Geometry& geom,
+                   const TraceReplayParams& params, ShapeMemo& shapes,
                    des::Xoshiro256SS& rng) {
   Job job;
   job.id = index;
   job.arrival = rec.submit * params.arrival_factor;
-  job.processors = std::clamp(rec.processors, 1, geom.nodes());
-  const auto [a, b] = shape_for_processors(job.processors, geom);
+  job.processors = std::clamp(rec.processors, 1, shapes.geometry().nodes());
+  const auto [a, b] = shapes(job.processors);
   job.width = a;
   job.length = b;
   job.trace_runtime = rec.runtime;
@@ -50,8 +49,9 @@ std::vector<Job> make_trace_jobs(const std::vector<TraceJob>& trace,
 
   std::vector<Job> jobs;
   jobs.reserve(count);
+  ShapeMemo shapes(geom);
   for (std::size_t i = 0; i < count; ++i)
-    jobs.push_back(make_trace_job(trace[i], i, params, geom, rng));
+    jobs.push_back(make_trace_job(trace[i], i, params, shapes, rng));
   return jobs;
 }
 

@@ -7,6 +7,7 @@
 #include "mesh/coord.hpp"
 #include "network/traffic.hpp"
 #include "workload/job.hpp"
+#include "workload/shape.hpp"
 #include "workload/swf.hpp"
 
 namespace procsim::workload {
@@ -45,10 +46,11 @@ struct TraceReplayParams {
 /// job: scaled arrival, near-square shape from the processor count,
 /// runtime-driven message count, recorded runtime as the SSD demand key.
 /// `make_trace_jobs` and the streaming `TraceSource` both lower onto this,
-/// so the two paths draw the identical RNG sequence.
+/// so the two paths draw the identical RNG sequence. The mesh is
+/// `shapes.geometry()`; `shapes` caches the shape of each processor count.
 [[nodiscard]] Job make_trace_job(const TraceJob& rec, std::uint64_t index,
-                                 const TraceReplayParams& params,
-                                 const mesh::Geometry& geom, des::Xoshiro256SS& rng);
+                                 const TraceReplayParams& params, ShapeMemo& shapes,
+                                 des::Xoshiro256SS& rng);
 
 /// Expands trace records into simulator jobs: scaled arrivals, near-square
 /// shape from the processor count, runtime-driven message counts, and the

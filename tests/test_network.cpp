@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "des/rng.hpp"
@@ -88,6 +90,71 @@ TEST(Routing, ChannelIdsAreDisjointRanges) {
   EXPECT_FALSE(torus.is_injection(torus.link(15, Direction::kSouth, 1)));
   EXPECT_TRUE(torus.is_ejection(torus.ejection(5)));
   EXPECT_FALSE(torus.is_ejection(torus.injection(15)));
+}
+
+/// XY route written hop by hop through neighbour(): coordinates decide the
+/// direction (the torus takes the shorter way, east/north on ties) and the
+/// dateline VC switches at the wrap-around link.
+std::vector<procsim::network::ChannelId> reference_route(const ChannelMap& map,
+                                                         NodeId src, NodeId dst) {
+  const Geometry& g = map.geometry();
+  std::vector<procsim::network::ChannelId> path{map.injection(src)};
+  NodeId cur = src;
+  const auto walk = [&](std::int32_t from, std::int32_t to, std::int32_t extent,
+                        Direction pos, Direction neg, bool along_x) {
+    std::int32_t delta = to - from;
+    if (map.torus()) {
+      const std::int32_t wrap = delta > 0 ? delta - extent : delta + extent;
+      if (std::abs(wrap) < std::abs(delta)) delta = wrap;
+    }
+    const Direction dir = delta >= 0 ? pos : neg;
+    std::int32_t vc = 0;
+    for (std::int32_t i = 0; i < std::abs(delta); ++i) {
+      const Coord c = g.coord(cur);
+      const std::int32_t at = along_x ? c.x : c.y;
+      if (map.torus() && (dir == pos ? at == extent - 1 : at == 0)) vc = 1;
+      path.push_back(map.link(cur, dir, vc));
+      cur = map.neighbour(cur, dir);
+    }
+  };
+  const Coord a = g.coord(src);
+  const Coord b = g.coord(dst);
+  walk(a.x, b.x, g.width(), Direction::kEast, Direction::kWest, true);
+  walk(a.y, b.y, g.length(), Direction::kNorth, Direction::kSouth, false);
+  EXPECT_EQ(cur, dst);
+  path.push_back(map.ejection(dst));
+  return path;
+}
+
+/// route_into reuses whatever vector it is handed — a recycled packet's path,
+/// dirty and longer than needed — and must leave exactly route()'s channels.
+TEST(Routing, RouteIntoADirtyVectorEqualsRouteForEveryPair) {
+  for (const auto& [geom, torus] : {std::pair{Geometry(5, 4), false},
+                                    std::pair{Geometry(37, 29), false},
+                                    std::pair{Geometry(6, 6), true}}) {
+    const ChannelMap map(geom, torus);
+    std::vector<procsim::network::ChannelId> reused(
+        static_cast<std::size_t>(geom.width() + geom.length()) * 3, -7);
+    for (NodeId src = 0; src < geom.nodes(); ++src) {
+      for (NodeId dst = 0; dst < geom.nodes(); ++dst) {
+        if (src == dst) continue;
+        const auto want = map.route(src, dst);
+        map.route_into(src, dst, reused);
+        ASSERT_EQ(reused, want) << geom.width() << "x" << geom.length()
+                                << (torus ? " torus" : "") << " " << src << "->" << dst;
+        // The hop-by-hop walk on every pair of the small networks and on
+        // every 16th pair of the large mesh (it is the slow part).
+        if (geom.nodes() <= 36 || (src * 31 + dst) % 16 == 0) {
+          ASSERT_EQ(want, reference_route(map, src, dst))
+              << geom.width() << "x" << geom.length() << (torus ? " torus" : "") << " "
+              << src << "->" << dst;
+        }
+        // Dirty the vector again, past its current size.
+        reused.resize(reused.capacity(), -7);
+      }
+    }
+    EXPECT_THROW(map.route_into(3, 3, reused), std::invalid_argument);
+  }
 }
 
 // ----------------------------------------------------------------- Wormhole

@@ -633,18 +633,24 @@ TEST(OccupancyIndex, LargestFreeTieBreaksMatchDocumentedOrder) {
 
 /// The shape-aware reservation probe: first_fit under "these busy blocks
 /// were released" must agree with a brute-force future-occupancy replay —
-/// copy the index, actually release the blocks, query for real.
-TEST(OccupancyIndex, AssumingFreeAgreesWithBruteForceReplayOn8x8) {
-  const Geometry g(8, 8);
-  procsim::des::Xoshiro256SS rng(4242);
-  for (int round = 0; round < 50; ++round) {
-    MeshState state(g);
+/// copy the index, actually release the blocks, query for real. The
+/// rotatable query builds one hypothetical bitmap for both orientations and
+/// must still count one first-fit query per orientation it tries.
+void expect_assuming_free_matches_replay(const Geometry& g, std::uint64_t seed,
+                                         int rounds) {
+  procsim::des::Xoshiro256SS rng(seed);
+  const auto uniform = [&rng](std::int32_t lo, std::int32_t hi) {
+    return static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, lo, hi));
+  };
+  const std::int32_t place_w = std::max(1, g.width() / 2);
+  const std::int32_t place_l = std::max(1, g.length() / 2);
+  for (int round = 0; round < rounds; ++round) {
     OccupancyIndex idx(g);
     std::vector<SubMesh> live;
     // Random occupancy.
     for (int step = 0; step < 30; ++step) {
-      const auto a = static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 4));
-      const auto b = static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 4));
+      const std::int32_t a = uniform(1, place_w);
+      const std::int32_t b = uniform(1, place_l);
       if (const auto s = idx.first_fit(a, b)) {
         idx.allocate(*s);
         live.push_back(*s);
@@ -661,21 +667,41 @@ TEST(OccupancyIndex, AssumingFreeAgreesWithBruteForceReplayOn8x8) {
     for (const SubMesh& s : released) future.release(s);
 
     for (int q = 0; q < 12; ++q) {
-      const auto a = static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 8));
-      const auto b = static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 8));
+      // Half the queries span up to the whole mesh, half stay small enough
+      // to hit often.
+      const bool wide = procsim::des::sample_bernoulli(rng, 0.5);
+      const std::int32_t a = uniform(1, wide ? g.width() : std::min(g.width(), 8));
+      const std::int32_t b = uniform(1, wide ? g.length() : std::min(g.length(), 8));
       ASSERT_EQ(idx.first_fit_assuming_free(a, b, released), future.first_fit(a, b))
-          << "round " << round << " q=" << a << "x" << b;
+          << g.width() << "x" << g.length() << " round " << round << " q=" << a << "x"
+          << b;
+      const std::uint64_t before = idx.query_stats().first_fit_queries;
+      const std::uint64_t future_before = future.query_stats().first_fit_queries;
       ASSERT_EQ(idx.first_fit_rotatable_assuming_free(a, b, released),
                 future.first_fit_rotatable(a, b))
-          << "round " << round << " q=" << a << "x" << b;
+          << g.width() << "x" << g.length() << " round " << round << " q=" << a << "x"
+          << b;
+      ASSERT_EQ(idx.query_stats().first_fit_queries - before,
+                future.query_stats().first_fit_queries - future_before);
     }
     // The hypothetical query must not have perturbed the real index.
-    ASSERT_EQ(idx.free_count(), state.geometry().nodes() -
-                                    [&] {
-                                      std::int32_t busy = 0;
-                                      for (const SubMesh& s : live) busy += s.area();
-                                      return busy;
-                                    }());
+    std::int32_t busy = 0;
+    for (const SubMesh& s : live) busy += s.area();
+    ASSERT_EQ(idx.free_count(), g.nodes() - busy);
+  }
+}
+
+TEST(OccupancyIndex, AssumingFreeAgreesWithBruteForceReplayOn8x8) {
+  expect_assuming_free_matches_replay(Geometry(8, 8), 4242, 50);
+}
+
+/// Rows of one word, an exactly full word, one bit past it and three words:
+/// the ORed blocks and both orientations' run masks cross word boundaries.
+TEST(OccupancyIndex, AssumingFreeAgreesWithBruteForceReplayAcrossWordBoundaries) {
+  for (const Geometry g : {Geometry(63, 12), Geometry(64, 5), Geometry(65, 9),
+                           Geometry(130, 7)}) {
+    expect_assuming_free_matches_replay(g, 77 + static_cast<std::uint64_t>(g.width()),
+                                        25);
   }
 }
 

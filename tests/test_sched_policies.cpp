@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "des/distributions.hpp"
@@ -582,6 +584,151 @@ TEST(CapacityProfile, BinarySearchMatchesALinearScan) {
   }
 }
 
+/// CapacityProfile as it was first written: the same steps, a naive earliest
+/// fit that tries `from` and then every later step instant, and the
+/// three-step reserve (split at t, split at t + duration, then a third search
+/// for the first step to subtract from).
+class ReferenceProfile {
+ public:
+  using Step = CapacityProfile::Step;
+
+  ReferenceProfile(double now, std::int64_t avail) : steps_{{now, avail}} {}
+
+  void add_release(double t, std::int64_t procs) {
+    if (steps_.back().t == t)
+      steps_.back().avail += procs;
+    else
+      steps_.push_back({t, steps_.back().avail + procs});
+  }
+
+  [[nodiscard]] double earliest_fit(double from, std::int64_t procs,
+                                    double duration) const {
+    std::vector<double> starts{std::max(from, steps_.front().t)};
+    for (const Step& s : steps_)
+      if (s.t > starts.front()) starts.push_back(s.t);
+    for (const double start : starts) {
+      bool ok = true;
+      for (std::size_t k = 0; k < steps_.size() && ok; ++k) {
+        const bool active = steps_[k].t <= start &&
+                            (k + 1 == steps_.size() || steps_[k + 1].t > start);
+        const bool inside = steps_[k].t > start && steps_[k].t < start + duration;
+        if (active || inside) ok = steps_[k].avail >= procs;
+      }
+      if (ok) return start;
+    }
+    return steps_.back().t;
+  }
+
+  void reserve(double t, double duration, std::int64_t procs) {
+    if (duration <= 0 || procs <= 0) return;
+    split_at(t);
+    split_at(t + duration);
+    for (std::size_t i = step_at(t); i < steps_.size() && steps_[i].t < t + duration; ++i)
+      steps_[i].avail -= procs;
+  }
+
+  [[nodiscard]] const std::vector<Step>& steps() const { return steps_; }
+
+ private:
+  [[nodiscard]] std::size_t step_at(double t) const {
+    std::size_t i = 0;
+    while (i + 1 < steps_.size() && steps_[i + 1].t <= t) ++i;
+    return i;
+  }
+  void split_at(double t) {
+    if (t <= steps_.front().t) return;
+    const std::size_t i = step_at(t);
+    if (steps_[i].t == t) return;
+    steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                  Step{t, steps_[i].avail});
+  }
+
+  std::vector<Step> steps_;
+};
+
+TEST(CapacityProfile, OnePassReserveMatchesTheThreeStepReserve) {
+  procsim::des::Xoshiro256SS rng(57);
+  const auto uniform = [&rng](std::int64_t lo, std::int64_t hi) {
+    return procsim::des::sample_uniform_int(rng, lo, hi);
+  };
+  int at_origin = 0;
+  int ending_on_a_step = 0;
+  int past_the_last = 0;
+  for (int round = 0; round < 300; ++round) {
+    const double origin = static_cast<double>(uniform(0, 3));
+    const std::int64_t avail = uniform(0, 8);
+    CapacityProfile p(origin, avail);
+    ReferenceProfile ref(origin, avail);
+    double t = origin;
+    for (std::int64_t i = uniform(0, 10); i > 0; --i) {
+      t += static_cast<double>(uniform(0, 3));  // integer instants collide
+      const std::int64_t procs = uniform(1, 4);
+      p.add_release(t, procs);
+      ref.add_release(t, procs);
+    }
+    for (int i = 0; i < 14; ++i) {
+      const auto& steps = ref.steps();
+      const double last = steps.back().t;
+      const auto any_step = [&] {
+        return steps[static_cast<std::size_t>(
+                         uniform(0, static_cast<std::int64_t>(steps.size()) - 1))]
+            .t;
+      };
+      double start = 0;
+      double duration = 0;
+      switch (uniform(0, 5)) {
+        case 0:  // at the origin
+          start = origin;
+          duration = 0.5 * static_cast<double>(uniform(1, 12));
+          break;
+        case 1: {  // ending exactly on a step
+          const double end = any_step();
+          start = end - 0.5 * static_cast<double>(uniform(0, 8));
+          duration = end - start;
+          break;
+        }
+        case 2:  // extending past the last step
+          start = any_step() + 0.5 * static_cast<double>(uniform(0, 2));
+          duration = last - start + 0.5 * static_cast<double>(uniform(1, 6));
+          break;
+        case 3:  // starting before the origin
+          start = origin - 0.5 * static_cast<double>(uniform(1, 4));
+          duration = 0.5 * static_cast<double>(uniform(0, 10));
+          break;
+        case 4:  // what the walk does: reserve at the earliest fit
+          duration = 0.5 * static_cast<double>(uniform(1, 10));
+          start = ref.earliest_fit(origin, uniform(1, 6), duration);
+          break;
+        default:  // anywhere, with degenerate durations too
+          start = origin - 1.0 + 0.25 * static_cast<double>(uniform(0, 4 * 14));
+          duration = 0.25 * static_cast<double>(uniform(-1, 24));
+          break;
+      }
+      const std::int64_t procs = uniform(-1, 5);
+      if (procs > 0 && duration > 0) {
+        at_origin += start == origin;
+        ending_on_a_step +=
+            std::any_of(steps.begin(), steps.end(), [&](const CapacityProfile::Step& s) {
+              return s.t == start + duration;
+            });
+        past_the_last += start + duration > last;
+      }
+      p.reserve(start, duration, procs);
+      ref.reserve(start, duration, procs);
+      ASSERT_EQ(p.steps(), ref.steps())
+          << "round " << round << " reserve(" << start << ", " << duration << ", "
+          << procs << ")";
+      const double from = origin + 0.5 * static_cast<double>(uniform(0, 20));
+      const std::int64_t need = uniform(1, 6);
+      const double len = 0.5 * static_cast<double>(uniform(1, 8));
+      ASSERT_EQ(p.earliest_fit(from, need, len), ref.earliest_fit(from, need, len));
+    }
+  }
+  EXPECT_GT(at_origin, 100);
+  EXPECT_GT(ending_on_a_step, 100);
+  EXPECT_GT(past_the_last, 100);
+}
+
 // ------------------------------------------------------------ resumed walks
 
 TEST(Resume, SameInstantTailArrivalsProbeOnlyTheNewJobs) {
@@ -823,6 +970,180 @@ TEST(Resume, SaturatedBacklogMetricsMatchUnderVerify) {
     const procsim::testing::VerifyScope on(true);
     SCOPED_TRACE(spec_name);
     EXPECT_EQ(plain, procsim::core::to_observations(procsim::core::run_once(cfg)));
+  }
+}
+
+// ------------------------------------------------ reference ;shape walk
+
+/// A running job as the reference walk sees it.
+struct RefRunning {
+  double finish{0};
+  std::uint64_t id{0};
+  std::int64_t allocated{0};
+  std::vector<procsim::mesh::SubMesh> blocks;
+};
+
+/// The conservative ;shape select as it was first written: every walked job
+/// re-collects the released blocks from the start of the running set, and
+/// reservations take the three-step reserve. `steps` receives the profile
+/// the walk leaves behind; `walked` is false when the head starts without a
+/// walk.
+std::optional<std::size_t> reference_conservative_shape(
+    std::vector<RefRunning> running, const std::vector<QueuedJob>& queue, double now,
+    std::int64_t free, const AllocProbe& probe, const procsim::sched::ShapeProbe& shape,
+    std::vector<CapacityProfile::Step>& steps, bool& walked) {
+  walked = false;
+  if (queue.empty()) return std::nullopt;
+  if (probe(queue.front())) return 0;
+  walked = true;
+  std::sort(running.begin(), running.end(), [](const RefRunning& a, const RefRunning& b) {
+    return a.finish != b.finish ? a.finish < b.finish : a.id < b.id;
+  });
+  const auto release = [&](std::size_t k) { return std::max(running[k].finish, now); };
+  ReferenceProfile profile(now, free);
+  for (std::size_t k = 0; k < running.size(); ++k)
+    profile.add_release(release(k), running[k].allocated);
+  std::optional<std::size_t> nominee;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    const QueuedJob& c = queue[i];
+    double t = profile.earliest_fit(now, c.processors, c.demand);
+    if (t <= now && probe(c)) {
+      nominee = i;
+      break;
+    }
+    std::vector<procsim::mesh::SubMesh> released;
+    std::size_t k = 0;
+    const auto collect = [&] {
+      for (; k < running.size() && release(k) <= t; ++k)
+        released.insert(released.end(), running[k].blocks.begin(),
+                        running[k].blocks.end());
+    };
+    collect();
+    while (k < running.size() && !shape(c, released)) {
+      t = profile.earliest_fit(std::max(t, release(k)), c.processors, c.demand);
+      collect();
+    }
+    profile.reserve(t, c.demand, c.processors);
+  }
+  steps = profile.steps();
+  return nominee;
+}
+
+/// Drives backfill:conservative;shape over random running sets on a real
+/// occupancy index — same-instant tail arrivals (resumed walks), starts,
+/// completions, overdue estimates — and checks every select against the
+/// reference walk on the same running set and queue: the same nomination,
+/// the same profile steps, and, for a fresh walk, the same shape-probe
+/// calls with the same released blocks.
+TEST(ConservativeShape, RandomizedWalkMatchesAReferenceWalk) {
+  using procsim::mesh::Geometry;
+  using procsim::mesh::OccupancyIndex;
+  using procsim::mesh::SubMesh;
+  using Call = std::pair<std::uint64_t, std::vector<SubMesh>>;
+  for (const Geometry g : {Geometry(16, 12), Geometry(70, 6)}) {
+    for (const std::uint64_t seed : {3ull, 8ull, 21ull, 34ull}) {
+      SCOPED_TRACE(std::to_string(g.width()) + "x" + std::to_string(g.length()) +
+                   " seed=" + std::to_string(seed));
+      procsim::des::Xoshiro256SS rng(seed);
+      const auto uniform = [&rng](std::int64_t lo, std::int64_t hi) {
+        return procsim::des::sample_uniform_int(rng, lo, hi);
+      };
+      OccupancyIndex idx(g);
+      BackfillScheduler s{BackfillOptions{.conservative = true, .shape_aware = true}};
+      std::map<std::uint64_t, std::pair<std::int32_t, std::int32_t>> dims;
+      std::vector<RefRunning> running;
+      std::vector<Call> calls;
+      double now = 0;
+      std::uint64_t next_id = 0;
+      const AllocProbe probe = [&](const QueuedJob& q) {
+        const auto [w, l] = dims.at(q.job_id);
+        return idx.first_fit_rotatable(w, l).has_value();
+      };
+      const procsim::sched::ShapeProbe shape = [&](const QueuedJob& q,
+                                                   const std::vector<SubMesh>& rel) {
+        calls.emplace_back(q.job_id, rel);
+        const auto [w, l] = dims.at(q.job_id);
+        return idx.first_fit_rotatable_assuming_free(w, l, rel).has_value();
+      };
+      const auto enqueue = [&] {
+        QueuedJob q;
+        q.job_id = next_id++;
+        q.seq = q.job_id;
+        q.arrival = now;
+        const auto w = static_cast<std::int32_t>(uniform(1, g.width() / 2));
+        const auto l = static_cast<std::int32_t>(uniform(1, g.length()));
+        dims[q.job_id] = {w, l};
+        q.processors = w * l;
+        q.area = q.processors;
+        q.demand = 0.5 + procsim::des::sample_exponential(rng, 10.0);
+        s.enqueue(q);
+      };
+      int walks = 0;
+      int nominations = 0;
+      int shape_calls = 0;
+      bool resumable = false;
+      const auto pass = [&] {
+        for (;;) {
+          std::vector<QueuedJob> queue;
+          for (std::size_t i = 0; i < s.size(); ++i) queue.push_back(s.job_at(i));
+          SchedSnapshot snap{now, idx.free_count()};
+          snap.shape_fit = &shape;
+          std::vector<CapacityProfile::Step> want_steps;
+          bool walked = false;
+          calls.clear();
+          const auto want = reference_conservative_shape(
+              running, queue, now, idx.free_count(), probe, shape, want_steps, walked);
+          const std::vector<Call> want_calls = std::move(calls);
+          calls.clear();
+          const auto got = s.select(probe, snap);
+          ASSERT_EQ(got, want) << "t=" << now << " queue=" << queue.size();
+          if (walked) {
+            ++walks;
+            ASSERT_EQ(s.profile().steps(), want_steps) << "t=" << now;
+            if (!resumable) {
+              ASSERT_EQ(calls, want_calls) << "t=" << now;
+              shape_calls += static_cast<int>(calls.size());
+            }
+          }
+          resumable = !got;
+          if (!got) return;
+          ++nominations;
+          const QueuedJob taken = s.take(*got);
+          const auto [w, l] = dims.at(taken.job_id);
+          const auto placed = idx.first_fit_rotatable(w, l);
+          ASSERT_TRUE(placed.has_value());  // nominated jobs passed the probe
+          idx.allocate(*placed);
+          s.on_start(taken, now, placed->area(), {*placed});
+          running.push_back({now + taken.demand, taken.job_id, placed->area(), {*placed}});
+        }
+      };
+      for (int step = 0; step < 250; ++step) {
+        const auto op = uniform(0, 9);
+        if (op < 5) {
+          // Same-instant tail arrivals: the kept walk stays resumable.
+          for (auto k = uniform(1, 3); k > 0 && s.size() < 40; --k) {
+            enqueue();
+            pass();
+          }
+          continue;
+        }
+        if (op < 7 && !running.empty()) {
+          const auto at = static_cast<std::size_t>(
+              uniform(0, static_cast<std::int64_t>(running.size()) - 1));
+          idx.release(running[at].blocks.front());
+          s.on_complete(running[at].id, now);
+          running.erase(running.begin() + static_cast<std::ptrdiff_t>(at));
+          resumable = false;
+        } else if (op < 9) {
+          now += procsim::des::sample_exponential(rng, 3.0);  // estimates go overdue
+          resumable = false;
+        }  // else: a pass with nothing changed resumes the kept walk
+        pass();
+      }
+      EXPECT_GT(walks, 100);
+      EXPECT_GT(nominations, 20);
+      EXPECT_GT(shape_calls, 50);
+    }
   }
 }
 

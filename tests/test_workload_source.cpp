@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "des/distributions.hpp"
 #include "des/rng.hpp"
 #include "mesh/coord.hpp"
 #include "stats/welford.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/source.hpp"
+#include "workload/shape.hpp"
 #include "workload/source_registry.hpp"
 
 namespace {
@@ -193,6 +197,45 @@ TEST(TraceSource, ParagonStreamsTheExactEagerVector) {
 
   TraceSource src(model, replay, 0.01, g, "real");
   expect_same_jobs(drain(src, 4242), eager);
+}
+
+/// TraceSource scans each distinct processor count's shape once and reuses
+/// it for every later record and every later replication; the jobs must not
+/// notice. The trace repeats a few counts, holds many distinct ones and
+/// counts the mesh clamps (0, negative, more than the mesh has).
+TEST(TraceSource, MemoizedShapesYieldTheEagerJobs) {
+  for (const Geometry g : {Geometry(256, 256), Geometry(16, 22)}) {
+    SCOPED_TRACE(std::to_string(g.width()) + "x" + std::to_string(g.length()));
+    Xoshiro256SS gen(11);
+    std::vector<procsim::workload::TraceJob> trace;
+    const std::int32_t repeated[] = {1, 4, 16, 64, 7, 300};
+    for (std::size_t i = 0; i < 600; ++i) {
+      procsim::workload::TraceJob rec;
+      rec.submit = static_cast<double>(i) * 3.0;
+      rec.runtime = 1.0 + procsim::des::sample_exponential(gen, 30.0);
+      if (i % 3 == 0)
+        rec.processors = repeated[(i / 3) % std::size(repeated)];
+      else if (i % 3 == 1)
+        rec.processors = static_cast<std::int32_t>(i);  // distinct
+      else
+        rec.processors = static_cast<std::int32_t>(
+            procsim::des::sample_uniform_int(gen, -2, g.nodes() + 40));
+      trace.push_back(rec);
+    }
+    TraceReplayParams replay;
+    replay.arrival_factor = 0.5;
+    TraceSource src(trace, replay, 0.0, g, "swf");
+    for (const std::uint64_t seed : {3ull, 8ull}) {  // the second reset reuses the memo
+      Xoshiro256SS rng(seed);
+      const auto eager = make_trace_jobs(trace, replay, g, rng);
+      const auto streamed = drain(src, seed);
+      expect_same_jobs(streamed, eager);
+      for (const Job& j : streamed)
+        ASSERT_EQ(std::make_pair(j.width, j.length),
+                  procsim::workload::shape_for_processors(j.processors, g))
+            << "p=" << j.processors;
+    }
+  }
 }
 
 TEST(BuildJobs, DrainsTheWorkloadSource) {
